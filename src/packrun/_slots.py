@@ -16,13 +16,12 @@ from typing import Optional
 
 class Slot:
     __slots__ = ("transport", "transport_initialized", "staged_transport",
-                 "spmd_active", "spmd_ever_entered")
+                 "spmd_ever_entered")
 
     def __init__(self):
         self.transport = None
         self.transport_initialized = False
         self.staged_transport = None  # set by the thread launcher before the program runs
-        self.spmd_active = False
         self.spmd_ever_entered = False
 
 

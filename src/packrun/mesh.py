@@ -20,7 +20,6 @@ import socket
 import struct
 import threading
 import time
-from typing import Optional
 
 from .transport import (
     Mailbox,
@@ -55,20 +54,14 @@ def _remaining(deadline: float, total: float) -> float:
 class _MeshBackend:
     """Routes envelopes onto per-peer sockets; owns the reader threads."""
 
-    def __init__(self, rank: int, conns: dict[int, socket.socket],
-                 listener: Optional[socket.socket], mailbox: Mailbox):
-        self._rank = rank
+    def __init__(self, rank: int, conns: dict[int, socket.socket], mailbox: Mailbox):
         self._conns = conns
-        self._listener = listener
         self._mailbox = mailbox
         self._send_locks = {peer: threading.Lock() for peer in conns}
         self._closed = False
-        self._readers = []
         for peer, conn in conns.items():
-            t = threading.Thread(target=self._read_loop, args=(peer, conn),
-                                 daemon=True, name=f"mesh-read-{rank}<-{peer}")
-            t.start()
-            self._readers.append(t)
+            threading.Thread(target=self._read_loop, args=(peer, conn),
+                             daemon=True, name=f"mesh-read-{rank}<-{peer}").start()
 
     def _read_loop(self, peer: int, conn: socket.socket) -> None:
         try:
@@ -91,7 +84,7 @@ class _MeshBackend:
         except OSError as exc:
             raise TransportError(f"connection to rank {env.dest} lost: {exc}") from exc
 
-    def shutdown(self, rank: int) -> None:
+    def shutdown(self) -> None:
         if self._closed:
             return
         self._closed = True
@@ -101,8 +94,6 @@ class _MeshBackend:
             except OSError:
                 pass
             conn.close()
-        if self._listener is not None:
-            self._listener.close()
 
 
 def connect_mesh(config: WorldConfig) -> TransportContext:
@@ -187,7 +178,7 @@ def connect_mesh(config: WorldConfig) -> TransportContext:
 
     listener.close()  # every expected peer is connected; nobody else may dial in
     mailbox = Mailbox()
-    backend = _MeshBackend(rank, conns, None, mailbox)
+    backend = _MeshBackend(rank, conns, mailbox)
     return TransportContext(rank, nprocs, backend, mailbox, hetero)
 
 

@@ -328,95 +328,6 @@ def _f32_exact(v: float) -> bool:
         return False
 
 
-def _validate(registry: Optional[TypeRegistry], kind: FieldKind, value: DynValue, path: str) -> None:
-    if isinstance(kind, Primitive):
-        tag = kind.tag
-        if tag is PrimTag.STRING:
-            if not isinstance(value, Str):
-                raise SchemaMismatch(path, "string", _describe(value))
-            try:
-                encoded = value.text.encode("utf-8")
-            except UnicodeEncodeError:
-                raise SchemaMismatch(path, "a UTF-8 encodable string", "unencodable text") from None
-            if len(encoded) > MAX_LENGTH:
-                raise SchemaMismatch(path, f"string of at most {MAX_LENGTH} bytes", f"{len(encoded)} bytes")
-            return
-        if not isinstance(value, Prim) or value.tag is not tag:
-            raise SchemaMismatch(path, tag.value, _describe(value))
-        v = value.value
-        if tag is PrimTag.BOOL:
-            if not isinstance(v, bool):
-                raise SchemaMismatch(path, "bool", _describe(value))
-            return
-        if tag in _FLOAT_TAGS:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise SchemaMismatch(path, tag.value, _describe(value))
-            if tag is PrimTag.F32 and not _f32_exact(float(v)):
-                raise SchemaMismatch(path, "a single-precision representable f32", repr(v))
-            return
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise SchemaMismatch(path, tag.value, _describe(value))
-        lo, hi = _INT_RANGE[tag]
-        if not lo <= v <= hi:
-            raise SchemaMismatch(path, f"{tag.value} in [{lo}, {hi}]", str(v))
-        return
-
-    if isinstance(kind, Sequence):
-        if not isinstance(value, Seq):
-            raise SchemaMismatch(path, f"sequence of {format_kind(kind.element)}", _describe(value))
-        if len(value) > MAX_LENGTH:
-            raise SchemaMismatch(path, f"sequence of at most {MAX_LENGTH} elements", f"{len(value)} elements")
-        if value.raw is not None:
-            if kind.element != Primitive(PrimTag.U8):
-                raise SchemaMismatch(path, f"sequence of {format_kind(kind.element)}", "byte sequence")
-            return
-        for i, item in enumerate(value.elements()):
-            _validate(registry, kind.element, item, f"{path}[{i}]")
-        return
-
-    if isinstance(kind, FixedArray):
-        if not isinstance(value, Seq):
-            raise SchemaMismatch(path, f"array of {kind.length} elements", _describe(value))
-        if len(value) != kind.length:
-            raise SchemaMismatch(path, f"array of {kind.length} elements", f"{len(value)} elements")
-        if value.raw is not None and kind.element != Primitive(PrimTag.U8):
-            raise SchemaMismatch(path, f"array of {format_kind(kind.element)}", "byte sequence")
-        if value.raw is not None:
-            return
-        for i, item in enumerate(value.elements()):
-            _validate(registry, kind.element, item, f"{path}[{i}]")
-        return
-
-    assert isinstance(kind, Named)
-    if registry is None or kind.type_name not in registry:
-        raise UnknownType(kind.type_name)
-    desc = registry.resolve(kind.type_name)
-    if isinstance(desc, RecordType):
-        if not isinstance(value, Rec) or value.type_name != desc.name:
-            raise SchemaMismatch(path, f"record {desc.name}", _describe(value))
-        if len(value.fields) != len(desc.fields):
-            raise SchemaMismatch(
-                path, f"{len(desc.fields)} fields for record {desc.name}", f"{len(value.fields)} fields")
-        for fdesc, fval in zip(desc.fields, value.fields):
-            _validate(registry, fdesc.kind, fval, f"{path}.{fdesc.name}")
-        return
-    assert isinstance(desc, VariantType)
-    if not isinstance(value, Var) or value.type_name != desc.name:
-        raise SchemaMismatch(path, f"variant {desc.name}", _describe(value))
-    try:
-        idx = desc.arm_index(value.arm)
-    except KeyError:
-        raise SchemaMismatch(path, f"an arm of variant {desc.name}", value.arm) from None
-    arm = desc.arms[idx]
-    if arm.payload is None:
-        if value.payload is not None:
-            raise SchemaMismatch(f"{path}.{arm.name}", "no payload", _describe(value.payload))
-    else:
-        if value.payload is None:
-            raise SchemaMismatch(f"{path}.{arm.name}", format_kind(arm.payload), "no payload")
-        _validate(registry, arm.payload, value.payload, f"{path}.{arm.name}")
-
-
 def _describe(value) -> str:
     if isinstance(value, Prim):
         return f"{value.tag.value} value"
@@ -435,56 +346,116 @@ def _describe(value) -> str:
 # Encoding
 
 
+def _scalar(tag: PrimTag, value: DynValue, path: str) -> Union[int, float]:
+    """Check a scalar value against ``tag`` and return the number to write."""
+    if not isinstance(value, Prim) or value.tag is not tag:
+        raise SchemaMismatch(path, tag.value, _describe(value))
+    v = value.value
+    if tag is PrimTag.BOOL:
+        if not isinstance(v, bool):
+            raise SchemaMismatch(path, "bool", _describe(value))
+        return 1 if v else 0
+    if tag in _FLOAT_TAGS:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise SchemaMismatch(path, tag.value, _describe(value))
+        if tag is PrimTag.F32 and not _f32_exact(float(v)):
+            raise SchemaMismatch(path, "a single-precision representable f32", repr(v))
+        return v
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise SchemaMismatch(path, tag.value, _describe(value))
+    lo, hi = _INT_RANGE[tag]
+    if not lo <= v <= hi:
+        raise SchemaMismatch(path, f"{tag.value} in [{lo}, {hi}]", str(v))
+    return v
+
+
 def _encode(out: bytearray, encoding: Encoding, registry: Optional[TypeRegistry],
-            kind: FieldKind, value: DynValue) -> None:
+            kind: FieldKind, value: DynValue, path: str) -> None:
+    """Check each node of ``value`` against ``kind``, then append its bytes.
+
+    A mismatch raises part-way through, after earlier nodes were written;
+    ``pack`` cuts ``out`` back so the caller never sees those bytes.
+    """
     if isinstance(kind, Primitive):
         tag = kind.tag
         if tag is PrimTag.STRING:
-            _encode_bytes_payload(out, encoding, value.text.encode("utf-8"))
+            if not isinstance(value, Str):
+                raise SchemaMismatch(path, "string", _describe(value))
+            try:
+                payload = value.text.encode("utf-8")
+            except UnicodeEncodeError:
+                raise SchemaMismatch(path, "a UTF-8 encodable string", "unencodable text") from None
+            if len(payload) > MAX_LENGTH:
+                raise SchemaMismatch(path, f"string of at most {MAX_LENGTH} bytes", f"{len(payload)} bytes")
+            out += struct.pack(_length_fmt(encoding), len(payload))
+            out += payload
+            if encoding is Encoding.PORTABLE:
+                out += b"\x00" * _pad4(len(payload))
             return
-        v = value.value
-        if tag is PrimTag.BOOL:
-            v = 1 if v else 0
-        out += struct.pack(_scalar_fmt(encoding, tag), v)
+        out += struct.pack(_scalar_fmt(encoding, tag), _scalar(tag, value, path))
         return
 
     if isinstance(kind, Sequence):
+        if not isinstance(value, Seq):
+            raise SchemaMismatch(path, f"sequence of {format_kind(kind.element)}", _describe(value))
+        if len(value) > MAX_LENGTH:
+            raise SchemaMismatch(path, f"sequence of at most {MAX_LENGTH} elements", f"{len(value)} elements")
+        if value.raw is not None and kind.element != Primitive(PrimTag.U8):
+            raise SchemaMismatch(path, f"sequence of {format_kind(kind.element)}", "byte sequence")
         out += struct.pack(_length_fmt(encoding), len(value))
-        _encode_elements(out, encoding, registry, kind.element, value, fixed=False)
+        _encode_elements(out, encoding, registry, kind.element, value, path, fixed=False)
         return
 
     if isinstance(kind, FixedArray):
-        _encode_elements(out, encoding, registry, kind.element, value, fixed=True)
+        if not isinstance(value, Seq):
+            raise SchemaMismatch(path, f"array of {kind.length} elements", _describe(value))
+        if len(value) != kind.length:
+            raise SchemaMismatch(path, f"array of {kind.length} elements", f"{len(value)} elements")
+        if value.raw is not None and kind.element != Primitive(PrimTag.U8):
+            raise SchemaMismatch(path, f"array of {format_kind(kind.element)}", "byte sequence")
+        _encode_elements(out, encoding, registry, kind.element, value, path, fixed=True)
         return
 
     assert isinstance(kind, Named)
+    if registry is None or kind.type_name not in registry:
+        raise UnknownType(kind.type_name)
     desc = registry.resolve(kind.type_name)
     if isinstance(desc, RecordType):
+        if not isinstance(value, Rec) or value.type_name != desc.name:
+            raise SchemaMismatch(path, f"record {desc.name}", _describe(value))
+        if len(value.fields) != len(desc.fields):
+            raise SchemaMismatch(
+                path, f"{len(desc.fields)} fields for record {desc.name}", f"{len(value.fields)} fields")
         for fdesc, fval in zip(desc.fields, value.fields):
-            _encode(out, encoding, registry, fdesc.kind, fval)
+            _encode(out, encoding, registry, fdesc.kind, fval, f"{path}.{fdesc.name}")
         return
-    idx = desc.arm_index(value.arm)
-    out += struct.pack(_length_fmt(encoding), idx)
+    assert isinstance(desc, VariantType)
+    if not isinstance(value, Var) or value.type_name != desc.name:
+        raise SchemaMismatch(path, f"variant {desc.name}", _describe(value))
+    try:
+        idx = desc.arm_index(value.arm)
+    except KeyError:
+        raise SchemaMismatch(path, f"an arm of variant {desc.name}", value.arm) from None
     arm = desc.arms[idx]
+    if arm.payload is None:
+        if value.payload is not None:
+            raise SchemaMismatch(f"{path}.{arm.name}", "no payload", _describe(value.payload))
+    elif value.payload is None:
+        raise SchemaMismatch(f"{path}.{arm.name}", format_kind(arm.payload), "no payload")
+    out += struct.pack(_length_fmt(encoding), idx)
     if arm.payload is not None:
-        _encode(out, encoding, registry, arm.payload, value.payload)
-
-
-def _encode_bytes_payload(out: bytearray, encoding: Encoding, payload: bytes) -> None:
-    out += struct.pack(_length_fmt(encoding), len(payload))
-    out += payload
-    if encoding is Encoding.PORTABLE:
-        out += b"\x00" * _pad4(len(payload))
+        _encode(out, encoding, registry, arm.payload, value.payload, f"{path}.{arm.name}")
 
 
 def _encode_elements(out: bytearray, encoding: Encoding, registry: Optional[TypeRegistry],
-                     element: FieldKind, value: Seq, fixed: bool) -> None:
+                     element: FieldKind, value: Seq, path: str, fixed: bool) -> None:
     # u8 elements encode the same whether the Seq stores compact bytes or a
     # list of values: native and portable seq<u8> write the raw payload (the
     # portable form padded to four bytes), while a fixed [u8; n] widens each
     # byte like any other portable scalar element.
     if isinstance(element, Primitive) and element.tag is PrimTag.U8:
-        raw = value.raw if value.raw is not None else bytes(item.value for item in value.elements())
+        raw = value.raw if value.raw is not None else bytes(
+            _scalar(PrimTag.U8, item, f"{path}[{i}]") for i, item in enumerate(value.elements()))
         if encoding is Encoding.NATIVE:
             out += raw
         elif not fixed:
@@ -493,19 +464,17 @@ def _encode_elements(out: bytearray, encoding: Encoding, registry: Optional[Type
         else:
             out += struct.pack(f">{len(raw)}I", *raw)
         return
-    assert value.raw is None  # validation rejects compact bytes for non-u8 elements
     if isinstance(element, Primitive) and element.tag is not PrimTag.STRING:
         tag = element.tag
         fmt = _scalar_fmt(encoding, tag)
-        values = [(1 if item.value else 0) if tag is PrimTag.BOOL else item.value
-                  for item in value.elements()]
+        values = [_scalar(tag, item, f"{path}[{i}]") for i, item in enumerate(value.elements())]
         if not values:
             return
         bulk = f"{fmt[0]}{len(values)}{fmt[1]}" if len(fmt) == 2 else f"{len(values)}{fmt}"
         out += struct.pack(bulk, *values)
         return
-    for item in value.elements():
-        _encode(out, encoding, registry, element, item)
+    for i, item in enumerate(value.elements()):
+        _encode(out, encoding, registry, element, item, f"{path}[{i}]")
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +525,7 @@ def _decode(buf: Buffer, registry: Optional[TypeRegistry], kind: FieldKind) -> D
     if isinstance(kind, Primitive):
         tag = kind.tag
         if tag is PrimTag.STRING:
-            payload = _take_bytes_payload(buf)
+            payload = _take_padded(buf, _take_scalar(buf, _length_fmt(encoding)))
             try:
                 return Str(payload.decode("utf-8"))
             except UnicodeDecodeError as exc:
@@ -602,8 +571,8 @@ def _decode(buf: Buffer, registry: Optional[TypeRegistry], kind: FieldKind) -> D
     return Var(desc.name, arm.name, payload)
 
 
-def _take_bytes_payload(buf: Buffer) -> bytes:
-    n = _take_scalar(buf, _length_fmt(buf.encoding))
+def _take_padded(buf: Buffer, n: int) -> bytes:
+    """Take an ``n``-byte payload and, when portable, its zero pad to four bytes."""
     pad = _pad4(n) if buf.encoding is Encoding.PORTABLE else 0
     if n + pad > buf.remaining:
         raise Truncated(n + pad, buf.remaining)
@@ -617,16 +586,8 @@ def _decode_elements(buf: Buffer, registry: Optional[TypeRegistry],
                      element: FieldKind, count: int, fixed: bool) -> Seq:
     encoding = buf.encoding
     if isinstance(element, Primitive) and element.tag is PrimTag.U8:
-        if encoding is Encoding.NATIVE:
-            return Seq(buf.take(count))
-        if not fixed:
-            pad = _pad4(count)
-            if count + pad > buf.remaining:
-                raise Truncated(count + pad, buf.remaining)
-            payload = buf.take(count)
-            if pad:
-                buf.take(pad)
-            return Seq(payload)
+        if encoding is Encoding.NATIVE or not fixed:
+            return Seq(_take_padded(buf, count))
         words = struct.unpack(f">{count}I", buf.take(4 * count))
         bad = [w for w in words if w > 255]
         if bad:
@@ -656,19 +617,33 @@ def pack(buf: Buffer, value: DynValue, kind=None,
     """Validate ``value`` against ``kind`` and append its encoding to ``buf``.
 
     ``kind`` may be a field kind, a kind expression such as ``"seq<i32>"``,
-    or ``None`` to infer the kind from the value itself.  Validation runs
-    before any byte is written, so a rejected value leaves the buffer
-    untouched.
+    or ``None`` to infer the kind from the value itself.  A rejected value
+    leaves the buffer untouched, and so does a value nested too deeply to
+    walk, which raises :class:`PackError`.
     """
-    k = _as_kind(kind) if kind is not None else infer_kind(value)
-    _validate(registry, k, value, "$")
-    _encode(buf._data, buf.encoding, registry, k, value)
+    start = len(buf._data)
+    try:
+        k = _as_kind(kind) if kind is not None else infer_kind(value)
+        _encode(buf._data, buf.encoding, registry, k, value, "$")
+    except RecursionError:
+        del buf._data[start:]
+        raise PackError("value is nested too deeply to encode") from None
+    except BaseException:
+        del buf._data[start:]
+        raise
     return buf
 
 
 def unpack(buf: Buffer, kind, registry: Optional[TypeRegistry] = None) -> DynValue:
-    """Decode one value of ``kind`` from the buffer, advancing the cursor."""
-    return _decode(buf, registry, _as_kind(kind))
+    """Decode one value of ``kind`` from the buffer, advancing the cursor.
+
+    Malformed or hostile bytes raise a :class:`PackError` subclass; bytes
+    nested too deeply to walk raise :class:`PackError` itself.
+    """
+    try:
+        return _decode(buf, registry, _as_kind(kind))
+    except RecursionError:
+        raise PackError("encoded value is nested too deeply to decode") from None
 
 
 def encode_value(value: DynValue, encoding: Encoding, kind=None,

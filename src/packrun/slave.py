@@ -233,8 +233,6 @@ class MasterPool:
         self._table = table
         self._slaves = tuple(range(1, ctx.nprocs))
         self._idle = set(self._slaves)
-        self._busy = set()
-        self._outstanding = 0
         self._done = False
         self.receipts: Dict[int, List[bytes]] = {}
         bad = _exchange_digest(ctx, table)
@@ -255,10 +253,10 @@ class MasterPool:
 
     @property
     def outstanding(self) -> int:
-        return self._outstanding
+        return len(self._slaves) - len(self._idle)
 
     def all_idle(self) -> bool:
-        return self._outstanding == 0 and not self._busy
+        return self.outstanding == 0
 
     def request(self, name: str) -> MsgBuf:
         """Start a request frame: a MsgBuf primed with the named selector."""
@@ -282,8 +280,6 @@ class MasterPool:
         rank = min(self._idle)
         self._ctx.send(self._ctx.world, rank, FARM_TAG, frame)
         self._idle.discard(rank)
-        self._busy.add(rank)
-        self._outstanding += 1
         return rank
 
     def get_returnv(self) -> Tuple[int, MsgBuf]:
@@ -292,12 +288,10 @@ class MasterPool:
         The slave is marked idle again whether the reply was a result or
         an error; errors surface as HandlerError.
         """
-        if self._outstanding == 0:
+        if self.outstanding == 0:
             raise NoOutstanding()
         src, _, payload = self._ctx.recv(self._ctx.world, source=ANY, tag=FARM_TAG)
-        self._busy.discard(src)
         self._idle.add(src)
-        self._outstanding -= 1
         status, body = payload[0], payload[1:]
         if status == _REPLY_OK:
             buf = MsgBuf(self._ctx)
@@ -325,7 +319,7 @@ class MasterPool:
         """
         if self._done:
             return
-        while self._outstanding:
+        while self.outstanding:
             try:
                 self.get_returnv()
             except HandlerError:
@@ -356,7 +350,7 @@ class MasterPool:
         while next_job < len(frames) and self._idle:
             job_of[self.exec(frames[next_job])] = next_job
             next_job += 1
-        while self._outstanding:
+        while self.outstanding:
             try:
                 rank, reply = self.get_returnv()
             except HandlerError as exc:

@@ -62,12 +62,11 @@ def _importing_module() -> Optional[str]:
 class SpmdContext:
     """A live world membership: rank identity plus guaranteed teardown."""
 
-    def __init__(self, ctx: TransportContext, slot):
+    def __init__(self, ctx: TransportContext):
         self.transport = ctx
         self.myid = ctx.rank
         self.nprocs = ctx.nprocs
         self.active = True
-        self._slot = slot
         self._at_exit: list[Callable[[], None]] = []
 
     def at_exit(self, fn: Callable[[], None]) -> None:
@@ -100,8 +99,7 @@ def spmd_enter(config: Optional[WorldConfig] = None) -> SpmdContext:
         raise AlreadyActive()
     ctx = transport.init(config)
     slot.spmd_ever_entered = True
-    slot.spmd_active = True
-    return SpmdContext(ctx, slot)
+    return SpmdContext(ctx)
 
 
 def spmd_exit(sctx: SpmdContext) -> None:
@@ -114,7 +112,6 @@ def spmd_exit(sctx: SpmdContext) -> None:
     if not sctx.active:
         return
     sctx.active = False
-    sctx._slot.spmd_active = False
     first_error: Optional[BaseException] = None
     for fn in reversed(sctx._at_exit):
         try:

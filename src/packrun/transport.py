@@ -447,7 +447,7 @@ class TransportContext:
             return
         self._finalized = True
         self._mailbox.close()
-        self._backend.shutdown(self.rank)
+        self._backend.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +483,7 @@ class InProcessWorld:
     def post(self, env: Envelope) -> None:
         self._mailboxes[env.dest].put(env)
 
-    def shutdown(self, rank: int) -> None:
+    def shutdown(self) -> None:
         pass  # per-rank mailboxes are closed by their contexts
 
 

@@ -7,8 +7,9 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from packrun.idl import PrimTag, TypeRegistry
+from packrun.idl import FixedArray, Named, Primitive, PrimTag, RecordType, Sequence, TypeRegistry
 from packrun.pack import (
     Buffer,
     Encoding,
@@ -31,7 +32,7 @@ from packrun.pack import (
     pack,
     unpack,
 )
-from support import load_golden, random_pair, value_from_json
+from support import _INT_RANGE, load_golden, random_pair, value_from_json
 
 LITTLE_ENDIAN_HOST = sys.byteorder == "little"
 
@@ -141,6 +142,16 @@ def test_data_and_size_expose_exact_contents():
     pack(buf, Prim(PrimTag.U32, 0xDEADBEEF))
     assert buf.data == bytes.fromhex("deadbeef")
     assert buf.size == 4
+
+
+def test_failed_pack_leaves_buffer_untouched_on_any_error():
+    registry = TypeRegistry.from_idl("record named { id: i32; name: string; }")
+    buf = Buffer(Encoding.PORTABLE)
+    pack(buf, Prim(PrimTag.I32, 1))
+    snapshot = buf.data
+    with pytest.raises(AttributeError):  # the id field is written before name fails
+        pack(buf, Rec("named", [Prim(PrimTag.I32, 2), Str(None)]), "named", registry)
+    assert buf.data == snapshot
 
 
 def test_failed_pack_leaves_buffer_untouched():
@@ -348,3 +359,166 @@ def test_random_multi_value_buffers():
         for reg2, kind2, value2 in others:
             assert unpack(buf, kind2, reg2) == value2
         assert buf.remaining == 0
+
+
+# ---------------------------------------------------------------------------
+# Nesting deeper than the interpreter can walk
+
+_SHAPE = TypeRegistry.from_idl("variant sh { dot; many(seq<sh>); }")
+
+
+def _nested_shape(levels):
+    value = Var("sh", "dot")
+    for _ in range(levels):
+        value = Var("sh", "many", Seq([value]))
+    return value
+
+
+@pytest.mark.parametrize("encoding", [Encoding.PORTABLE, Encoding.NATIVE])
+def test_too_deep_value_is_a_pack_error_and_leaves_buffer_untouched(encoding):
+    buf = Buffer(encoding)
+    pack(buf, Prim(PrimTag.I32, 1))
+    snapshot = buf.data
+    with pytest.raises(PackError):
+        pack(buf, _nested_shape(3000), "sh", _SHAPE)
+    assert buf.data == snapshot
+
+
+@pytest.mark.parametrize("encoding", [Encoding.PORTABLE, Encoding.NATIVE])
+def test_too_deep_hostile_bytes_are_a_pack_error(encoding):
+    order = ">" if encoding is Encoding.PORTABLE else "="
+    # 5000 levels of arm "many" holding one element, closed by arm "dot"
+    hostile = struct.pack(order + "II", 1, 1) * 5000 + struct.pack(order + "I", 0)
+    with pytest.raises(PackError):
+        decode_value(hostile, encoding, "sh", _SHAPE)
+
+
+# ---------------------------------------------------------------------------
+# Properties over a registry that uses every kind
+
+_ALL_KINDS = TypeRegistry.from_idl("""
+    record leaf { i: i32; u: u32; l: i64; q: u64; f: f32; d: f64; b: u8; t: bool; s: string; }
+    variant shape { dot; tag(u8); boxed(leaf); many(seq<shape>); }
+    record msg {
+        head: leaf; raw: seq<u8>; trio: [u8; 3]; pair: [f64; 2]; flags: [bool; 2];
+        names: seq<string>; shapes: seq<shape>; ids: seq<i64>;
+    }
+""")
+_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+def _scalars(tag):
+    if tag is PrimTag.STRING:
+        return st.text(max_size=6).map(Str)
+    if tag is PrimTag.BOOL:
+        numbers = st.booleans()
+    elif tag is PrimTag.F32:
+        numbers = st.floats(width=32, allow_nan=False)
+    elif tag is PrimTag.F64:
+        numbers = st.floats(allow_nan=False)
+    else:
+        numbers = st.integers(*_INT_RANGE[tag])
+    return numbers.map(lambda v: Prim(tag, v))
+
+
+def _values(kind, depth=0):
+    if isinstance(kind, Primitive):
+        return _scalars(kind.tag)
+    if isinstance(kind, Sequence) and depth > 4:
+        return st.just(Seq([]))  # ends the recursion through variant shape
+    if isinstance(kind, (Sequence, FixedArray)):
+        lo, hi = (kind.length, kind.length) if isinstance(kind, FixedArray) else (0, 3)
+        items = st.lists(_values(kind.element, depth + 1), min_size=lo, max_size=hi).map(Seq)
+        if kind.element == Primitive(PrimTag.U8):
+            return st.one_of(items, st.binary(min_size=lo, max_size=hi + 4 * (lo != hi)).map(Seq))
+        return items
+    desc = _ALL_KINDS.resolve(kind.type_name)
+    if isinstance(desc, RecordType):
+        fields = st.tuples(*(_values(f.kind, depth + 1) for f in desc.fields))
+        return fields.map(lambda fs: Rec(desc.name, fs))
+    return st.one_of(*(
+        st.just(Var(desc.name, arm.name)) if arm.payload is None
+        else _values(arm.payload, depth + 1).map(lambda p, a=arm.name: Var(desc.name, a, p))
+        for arm in desc.arms))
+
+
+_BAD_SCALARS = {
+    PrimTag.I32: [Prim(PrimTag.I32, 2**31), Prim(PrimTag.I32, True)],
+    PrimTag.U32: [Prim(PrimTag.U32, -1), Prim(PrimTag.I32, 0)],
+    PrimTag.I64: [Prim(PrimTag.I64, 2**63), Prim(PrimTag.I64, 1.5)],
+    PrimTag.U64: [Prim(PrimTag.U64, 2**64), Str("7")],
+    PrimTag.U8: [Prim(PrimTag.U8, 256), Prim(PrimTag.U32, 1)],
+    PrimTag.F32: [Prim(PrimTag.F32, 0.1), Prim(PrimTag.F32, 1e300)],
+    PrimTag.F64: [Prim(PrimTag.F64, "1.0"), Prim(PrimTag.F32, 1.0)],
+    PrimTag.BOOL: [Prim(PrimTag.BOOL, 1), Prim(PrimTag.U8, 0)],
+    PrimTag.STRING: [Str("\ud800"), Prim(PrimTag.U8, 0)],
+}
+
+
+def _swap_leaf(kind, value, path, target, found):
+    """Rebuild ``value``, replacing the scalar leaf at ``target`` with a bad one.
+
+    Every leaf path is appended to ``found``; ``target=None`` only collects.
+    """
+    if isinstance(kind, Primitive):
+        found.append((path, kind.tag))
+        return target[1] if target and target[0] == path else value
+    if isinstance(kind, (Sequence, FixedArray)):
+        if value.raw is not None:
+            return value
+        return Seq([_swap_leaf(kind.element, item, f"{path}[{i}]", target, found)
+                    for i, item in enumerate(value.elements())])
+    desc = _ALL_KINDS.resolve(kind.type_name)
+    if isinstance(desc, RecordType):
+        return Rec(desc.name, [_swap_leaf(f.kind, v, f"{path}.{f.name}", target, found)
+                               for f, v in zip(desc.fields, value.fields)])
+    if value.payload is None:
+        return value
+    arm = desc.arms[desc.arm_index(value.arm)]
+    return Var(desc.name, arm.name,
+               _swap_leaf(arm.payload, value.payload, f"{path}.{arm.name}", target, found))
+
+
+_MSG = Named("msg")
+
+
+@_PROPERTY
+@given(_values(_MSG))
+def test_property_round_trip_both_encodings(value):
+    for encoding in (Encoding.PORTABLE, Encoding.NATIVE):
+        encoded = encode_value(value, encoding, _MSG, _ALL_KINDS)
+        assert decode_value(encoded, encoding, _MSG, _ALL_KINDS) == value
+
+
+@_PROPERTY
+@given(_values(_MSG), _values(_MSG), st.data())
+def test_property_one_bad_leaf_is_named_and_leaves_buffer_untouched(earlier, value, data):
+    leaves = []
+    _swap_leaf(_MSG, value, "$", None, leaves)
+    path, tag = data.draw(st.sampled_from(leaves))
+    bad = _swap_leaf(_MSG, value, "$", (path, data.draw(st.sampled_from(_BAD_SCALARS[tag]))), [])
+    for encoding in (Encoding.PORTABLE, Encoding.NATIVE):
+        buf = pack(Buffer(encoding), earlier, _MSG, _ALL_KINDS)
+        snapshot = buf.data
+        with pytest.raises(SchemaMismatch) as err:
+            pack(buf, bad, _MSG, _ALL_KINDS)
+        assert err.value.path == path
+        assert buf.data == snapshot
+
+
+@_PROPERTY
+@given(st.sampled_from([Encoding.PORTABLE, Encoding.NATIVE]), _values(_MSG), st.data())
+def test_property_arbitrary_bytes_raise_only_pack_errors(encoding, value, data):
+    kind = data.draw(st.sampled_from(["msg", "shape", "leaf", "seq<shape>", "[string; 2]"]))
+    if kind == "msg" and data.draw(st.booleans()):
+        # a valid encoding with bytes overwritten and the tail cut reaches deeper than noise
+        payload = bytearray(encode_value(value, encoding, _MSG, _ALL_KINDS))
+        for _ in range(data.draw(st.integers(1, 3))):
+            payload[data.draw(st.integers(0, len(payload) - 1))] = data.draw(st.integers(0, 255))
+        payload = bytes(payload[:data.draw(st.integers(0, len(payload)))])
+    else:
+        payload = data.draw(st.binary(max_size=96))
+    try:
+        decode_value(payload, encoding, kind, _ALL_KINDS)
+    except PackError:
+        pass
