@@ -6,7 +6,10 @@ deterministic tests and the thread launcher) and a TCP socket mesh with one
 OS process per rank (see :mod:`packrun.mesh`).  Everything above the backend
 is identical: reliable FIFO point-to-point delivery per (src, dest,
 communicator) triple, tag and source filtering on receive, and flat
-root-centric collectives.
+root-centric collectives.  Each rank's :class:`Mailbox` queues arrivals by
+(kind, communicator, source, tag): an exact receive costs the same however
+much unrelated traffic is pending, and a wildcard one looks at one queue
+head per key, not at every pending message.
 
 Collective traffic travels as control-kind envelopes tagged with a
 per-communicator sequence number, so it can never be confused with user
@@ -21,9 +24,10 @@ import os
 import struct
 import threading
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 from ._slots import current_slot
 from .wire import KIND_CONTROL, KIND_DATA, MAX_PAYLOAD, Envelope
@@ -174,7 +178,15 @@ class Communicator:
         return self.members[local]
 
     def local_of(self, world: int) -> int:
-        return self.members.index(world)
+        local = bisect_left(self.members, world)
+        if local == len(self.members) or self.members[local] != world:
+            raise ValueError(f"world rank {world!r} is not a member")
+        return local
+
+
+def _check_tag(tag) -> None:
+    if not (isinstance(tag, int) and 0 <= tag < 2**32):
+        raise TransportError(f"tag {tag} does not fit in u32")
 
 
 # ---------------------------------------------------------------------------
@@ -182,34 +194,54 @@ class Communicator:
 
 
 class Mailbox:
-    """Arrival-ordered message store with predicate matching.
+    """Arrival-numbered message store, indexed by (kind, comm_id, src, tag).
 
-    ``take`` scans pending messages oldest-first and removes the first match,
-    which preserves FIFO order per sender while letting a filtered receive
-    skip past non-matching traffic (skipped messages stay queued).  The store
-    is unbounded by design: delivery never blocks the sender.
+    Each key holds its envelopes in arrival order, so an exact receive pops
+    the head of one queue whatever else is pending.  A wildcard receive
+    (``None`` for src or tag) takes the matching head with the lowest arrival
+    number, which is the first pending arrival that matches, so FIFO order
+    per sender holds across keys.  Unmatched messages stay queued under
+    their own keys.  The store is unbounded by design: delivery never
+    blocks the sender.
     """
 
     def __init__(self):
         self._cond = threading.Condition()
-        self._items: list[Envelope] = []
+        self._queues: dict[tuple, list[tuple[int, Envelope]]] = {}
+        self._arrivals = 0
         self._closed = False
 
     def put(self, env: Envelope) -> bool:
         with self._cond:
             if self._closed:
                 return False
-            self._items.append(env)
+            key = (env.kind, env.comm_id, env.src, env.tag)
+            self._queues.setdefault(key, []).append((self._arrivals, env))
+            self._arrivals += 1
             self._cond.notify_all()
             return True
 
-    def take(self, match: Callable[[Envelope], bool], timeout: Optional[float] = None) -> Envelope:
+    def take(self, kind: int, comm_id: int, src: Optional[int], tag: Optional[int],
+             timeout: Optional[float] = None) -> Envelope:
+        """Remove and return the oldest envelope matching the filters.
+
+        ``src`` and ``tag`` are world rank and tag, or ``None`` for any.
+        Blocks until one arrives; raises RecvTimeout after ``timeout``
+        seconds, or Finalized once the mailbox is closed.
+        """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while True:
-                for i, env in enumerate(self._items):
-                    if match(env):
-                        return self._items.pop(i)
+                if src is None or tag is None:
+                    key = self._oldest_key(kind, comm_id, src, tag)
+                else:
+                    key = (kind, comm_id, src, tag)
+                queue = self._queues.get(key)
+                if queue is not None:
+                    env = queue.pop(0)[1]
+                    if not queue:
+                        del self._queues[key]
+                    return env
                 if self._closed:
                     raise Finalized()
                 if deadline is None:
@@ -220,6 +252,14 @@ class Mailbox:
                         raise RecvTimeout(timeout)
                     self._cond.wait(remaining)
 
+    def _oldest_key(self, kind, comm_id, src, tag) -> Optional[tuple]:
+        first = key = None
+        for k, queue in self._queues.items():
+            if (k[0] == kind and k[1] == comm_id and (src is None or k[2] == src)
+                    and (tag is None or k[3] == tag) and (first is None or queue[0][0] < first)):
+                first, key = queue[0][0], k
+        return key
+
     def close(self) -> None:
         with self._cond:
             self._closed = True
@@ -227,7 +267,7 @@ class Mailbox:
 
     def pending(self) -> int:
         with self._cond:
-            return len(self._items)
+            return sum(len(queue) for queue in self._queues.values())
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +320,7 @@ class TransportContext:
         self._post(env)
 
     def _recv_control(self, comm: Communicator, src_local: int, seq: int, opcode: int) -> bytes:
-        src_world = comm.members[src_local]
-
-        def match(env: Envelope) -> bool:
-            return (env.kind == KIND_CONTROL and env.comm_id == comm.comm_id
-                    and env.src == src_world and env.tag == seq)
-
-        env = self._mailbox.take(match)
+        env = self._mailbox.take(KIND_CONTROL, comm.comm_id, comm.members[src_local], seq)
         if env.payload[:1] != bytes([opcode]):
             raise TransportError(
                 f"collective mismatch: expected opcode {opcode}, got {env.payload[:1]!r} "
@@ -301,8 +335,7 @@ class TransportContext:
             raise InvalidRank(dest)
         if dest == comm.local_rank:
             raise SelfSend()
-        if not 0 <= tag < 2**32:
-            raise TransportError(f"tag {tag} does not fit in u32")
+        _check_tag(tag)
         payload = bytes(payload)
         if len(payload) > MAX_PAYLOAD:
             raise TransportError(f"payload of {len(payload)} bytes exceeds the {MAX_PAYLOAD} maximum")
@@ -313,14 +346,11 @@ class TransportContext:
         self._check_open()
         if source is not ANY and not 0 <= source < comm.size:
             raise InvalidRank(source)
-        src_world = None if source is ANY else comm.members[source]
-
-        def match(env: Envelope) -> bool:
-            return (env.kind == KIND_DATA and env.comm_id == comm.comm_id
-                    and (src_world is None or env.src == src_world)
-                    and (tag is ANY or env.tag == tag))
-
-        env = self._mailbox.take(match, timeout)
+        if tag is not ANY:
+            _check_tag(tag)
+        env = self._mailbox.take(KIND_DATA, comm.comm_id,
+                                 None if source is ANY else comm.members[source],
+                                 None if tag is ANY else tag, timeout)
         return comm.local_of(env.src), env.tag, env.payload
 
     # -- collectives

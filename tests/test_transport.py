@@ -1,6 +1,7 @@
 """Runtime messaging: point-to-point, filters, collectives, communicators."""
 
 import random
+import sys
 import threading
 import time
 
@@ -114,6 +115,18 @@ def test_send_to_rank_outside_comm():
         c0.send(c0.world, 5, 0, b"")
 
 
+@pytest.mark.parametrize("tag", [2**32, -1, "x", [1], 1.0])
+def test_tag_outside_u32_rejected_by_send_and_recv(tag):
+    # A receive for a tag no send can carry would otherwise wait forever.
+    _, (c0, c1) = make_world(2)
+    with pytest.raises(TransportError, match="does not fit in u32"):
+        c0.send(c0.world, 1, tag, b"")
+    t0 = time.monotonic()
+    with pytest.raises(TransportError, match="does not fit in u32"):
+        c1.recv(c1.world, tag=tag, timeout=1)
+    assert time.monotonic() - t0 < 0.5
+
+
 def test_tag_filter_skips_and_keeps_nonmatching():
     _, (c0, c1) = make_world(2)
     c0.send(c0.world, 1, 3, b"tag3")
@@ -189,6 +202,114 @@ def test_scripted_filters_match_queue_simulation():
                     c0.recv(c0.world, timeout=0.02, **kwargs)
             else:
                 assert c0.recv(c0.world, timeout=5, **kwargs)[2] == bytes([hit])
+
+    # Deep backlogs: three senders over 40 tags, sends interleaved with exact
+    # and ANY receives, a few hundred envelopes pending at the peak.  Most
+    # filters are drawn from a pending envelope (wildcarding its source, its
+    # tag or both); a few are arbitrary and may match nothing.  The last
+    # phase drains the backlog.
+    for _ in range(4):
+        _, ctxs = make_world(4)
+        c0 = ctxs[0]
+        queue = []  # (index, sender, tag), simulated, in arrival order
+
+        def receive(source, tag):
+            hit = next((e for e in queue if (source is None or e[1] == source)
+                        and (tag is None or e[2] == tag)), None)
+            kwargs = {}
+            if source is not None:
+                kwargs["source"] = source
+            if tag is not None:
+                kwargs["tag"] = tag
+            if hit is None:
+                with pytest.raises(TransportError):
+                    c0.recv(c0.world, timeout=0.02, **kwargs)
+            else:
+                queue.remove(hit)
+                i, s, t = hit
+                assert c0.recv(c0.world, timeout=5, **kwargs) == (s, t, i.to_bytes(2, "big"))
+
+        def pending_filter():
+            _, s, t = rng.choice(queue)
+            return rng.choice([None, s]), rng.choice([None, t])
+
+        sent = 0
+        for _ in range(6):
+            for _ in range(rng.randint(50, 150)):
+                sender, tag = rng.choice([1, 2, 3]), rng.randrange(40)
+                ctxs[sender].send(ctxs[sender].world, 0, tag, sent.to_bytes(2, "big"))
+                queue.append((sent, sender, tag))
+                sent += 1
+            for _ in range(rng.randint(20, 60)):
+                if rng.random() < 0.95:
+                    receive(*pending_filter())
+                else:
+                    receive(rng.choice([None, 1, 2, 3]), rng.choice([None, *range(45)]))
+        while queue:
+            receive(*pending_filter())
+        assert c0._mailbox.pending() == 0
+
+
+def test_round_of_distinct_tags_leaves_no_queues_behind():
+    # One queue per tag appears while the round is pending; every one must
+    # be gone once its message is taken, or idle mailboxes keep growing.
+    _, (c0, c1) = make_world(2)
+    tags = list(range(2048))
+    random.Random(2048).shuffle(tags)
+    for tag in tags:
+        c1.send(c1.world, 0, tag, tag.to_bytes(2, "big"))
+    assert c0._mailbox.pending() == 2048
+    for tag in range(2048):
+        assert c0.recv(c0.world, source=1, tag=tag, timeout=5) == (1, tag, tag.to_bytes(2, "big"))
+    assert c0._mailbox.pending() == 0
+    assert c0._mailbox._queues == {}
+
+
+def test_concurrent_senders_and_receivers_keep_per_key_fifo():
+    # Four senders and two receivers share rank 0's mailbox, more threads
+    # than cores with a short switch interval: nothing may be lost,
+    # duplicated or reordered within its (source, tag) key, and no queue
+    # may be left behind.
+    per_sender, ntags = 400, 16
+    _, ctxs = make_world(5)
+    c0 = ctxs[0]
+    got = [{}, {}]
+
+    def take_low_tags():  # ANY source, exact tag
+        for tag in range(ntags // 2):
+            for _ in range(4 * per_sender // ntags):
+                src, t, payload = c0.recv(c0.world, tag=tag, timeout=10)
+                got[0].setdefault((src, t), []).append(int.from_bytes(payload, "big"))
+
+    def take_high_tags():  # exact source and tag
+        for tag in range(ntags // 2, ntags):
+            for src in range(1, 5):
+                for _ in range(per_sender // ntags):
+                    _, _, payload = c0.recv(c0.world, source=src, tag=tag, timeout=10)
+                    got[1].setdefault((src, tag), []).append(int.from_bytes(payload, "big"))
+
+    def rank(ctx):
+        if ctx.rank == 0:
+            take_low_tags()
+        else:
+            for i in range(per_sender):
+                ctx.send(ctx.world, 0, i % ntags, i.to_bytes(2, "big"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        helper = threading.Thread(target=take_high_tags, daemon=True)
+        helper.start()
+        run_ranks(ctxs, rank)
+        helper.join(15)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not helper.is_alive()
+    expected = {(src, tag): list(range(tag, per_sender, ntags))
+                for src in range(1, 5) for tag in range(ntags)}
+    assert {**got[0], **got[1]} == expected
+    assert c0._mailbox.pending() == 0
+    assert c0._mailbox._queues == {}
 
 
 def test_randomized_exchange_is_exactly_once():
@@ -328,6 +449,14 @@ def test_collective_traffic_invisible_to_wildcard_recv():
 
 # ---------------------------------------------------------------------------
 # Communicators
+
+
+def test_local_of_maps_members_and_rejects_others():
+    comm = Communicator(7, (1, 4, 6, 9), 0)
+    assert [comm.local_of(w) for w in comm.members] == [0, 1, 2, 3]
+    for outsider in (0, 2, 5, 10):
+        with pytest.raises(ValueError):
+            comm.local_of(outsider)
 
 
 def test_comm_create_remaps_local_ranks():
