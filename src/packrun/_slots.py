@@ -1,7 +1,7 @@
 """Per-logical-process runtime state.
 
 A slot carries everything that must exist exactly once per rank: the
-transport handle, the once-only initialization flag, and the scoped-runtime
+once-only initialization flag, the staged transport, and the scoped-runtime
 bookkeeping.  In the normal case (one OS process per rank) there is a single
 process-wide slot.  The in-process thread launcher instead installs a fresh
 slot on each worker thread, so that several logical processes can share one
@@ -15,11 +15,9 @@ from typing import Optional
 
 
 class Slot:
-    __slots__ = ("transport", "transport_initialized", "staged_transport",
-                 "spmd_ever_entered")
+    __slots__ = ("transport_initialized", "staged_transport", "spmd_ever_entered")
 
     def __init__(self):
-        self.transport = None
         self.transport_initialized = False
         self.staged_transport = None  # set by the thread launcher before the program runs
         self.spmd_ever_entered = False

@@ -20,12 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._slots import Slot, install_slot
 from .mesh import Coordinator
-from .transport import BackendKind, InProcessWorld, RendezvousTimeout
-
-ENV_RANK = "PACKRUN_RANK"
-ENV_NPROCS = "PACKRUN_NPROCS"
-ENV_COORD = "PACKRUN_COORD"
-ENV_HETERO = "PACKRUN_HETERO"
+from .transport import (ENV_COORD, ENV_HETERO, ENV_NPROCS, ENV_RANK, BackendKind,
+                        InProcessWorld, RendezvousTimeout)
 
 
 class LaunchError(Exception):
@@ -44,7 +40,9 @@ class LaunchPlan:
     """Everything needed to start one multi-rank run.
 
     run_timeout bounds the program itself (None = wait forever); the
-    rendezvous window is bounded separately by timeout.
+    rendezvous window is bounded separately by timeout.  per_rank_env is
+    added to each rank's environment on the process backend only; thread
+    ranks share this process's environment.
     """
 
     nprocs: int

@@ -35,6 +35,7 @@ _log = logging.getLogger(__name__)
 
 _HELLO = struct.Struct(">4sI")
 _HELLO_MAGIC = b"HELO"
+_HOST = "127.0.0.1"  # every listener, coordinator and rank alike, binds loopback
 
 
 def _parse_address(address: str) -> tuple[str, int]:
@@ -104,79 +105,67 @@ def connect_mesh(config: WorldConfig) -> TransportContext:
     total = config.timeout
     deadline = time.monotonic() + total
 
-    listener = socket.create_server(("127.0.0.1", 0), backlog=max(nprocs, 1))
-    my_host, my_port = listener.getsockname()
-
-    coord = None
-    try:
-        coord = socket.create_connection(_parse_address(config.rendezvous),
-                                         timeout=_remaining(deadline, total))
-        coord.settimeout(_remaining(deadline, total))
-        send_json(coord, {"op": "register", "rank": rank, "host": my_host,
-                          "port": my_port,
-                          "encoding": "portable" if config.hetero else "native"})
-        reply = recv_json(coord)
-    except socket.timeout:
-        listener.close()
-        raise RendezvousTimeout(total) from None
-    except OSError as exc:
-        listener.close()
-        raise TransportError(f"cannot reach coordinator at {config.rendezvous}: {exc}") from exc
-    finally:
-        if coord is not None:
-            coord.close()
-
-    if reply is None:
-        listener.close()
-        raise TransportError("coordinator closed the connection before sending the table")
-    if reply.get("op") == "error":
-        listener.close()
-        reason = reply.get("reason", "rendezvous failed")
-        if reason == "rank-conflict":
-            raise RankConflict(rank)
-        raise TransportError(reason)
-    if reply.get("op") != "table" or len(reply.get("peers", ())) != nprocs:
-        listener.close()
-        raise TransportError(f"malformed rendezvous table: {reply!r}")
-
-    peers = reply["peers"]
-    hetero = bool(reply.get("hetero", config.hetero))
-
+    listener = socket.create_server((_HOST, 0), backlog=max(nprocs, 1))
     conns: dict[int, socket.socket] = {}
     try:
-        # Lower rank dials higher rank; TCP lets every dial complete against
-        # the peer's backlog, so a plain dial-then-accept order cannot deadlock.
-        for q in range(rank + 1, nprocs):
-            host, port = peers[q]
-            conn = socket.create_connection((host, port), timeout=_remaining(deadline, total))
-            conn.settimeout(None)
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn.sendall(_HELLO.pack(_HELLO_MAGIC, rank))
-            conns[q] = conn
-        for _ in range(rank):
-            listener.settimeout(_remaining(deadline, total))
-            conn, _addr = listener.accept()
-            conn.settimeout(_remaining(deadline, total))
-            hello = conn.recv(_HELLO.size, socket.MSG_WAITALL)
-            magic, peer = _HELLO.unpack(hello)
-            if magic != _HELLO_MAGIC or not 0 <= peer < rank or peer in conns:
-                conn.close()
-                raise TransportError(f"unexpected mesh hello from {_addr}: {hello!r}")
-            conn.settimeout(None)
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conns[peer] = conn
-    except socket.timeout:
-        for c in conns.values():
-            c.close()
-        listener.close()
-        raise RendezvousTimeout(total) from None
-    except (OSError, struct.error) as exc:
-        for c in conns.values():
-            c.close()
-        listener.close()
-        raise TransportError(f"mesh establishment failed: {exc}") from exc
+        my_host, my_port = listener.getsockname()
+        try:
+            with socket.create_connection(_parse_address(config.rendezvous),
+                                          timeout=_remaining(deadline, total)) as coord:
+                coord.settimeout(_remaining(deadline, total))
+                send_json(coord, {"op": "register", "rank": rank, "host": my_host,
+                                  "port": my_port,
+                                  "encoding": "portable" if config.hetero else "native"})
+                reply = recv_json(coord)
+        except socket.timeout:
+            raise RendezvousTimeout(total) from None
+        except OSError as exc:
+            raise TransportError(f"cannot reach coordinator at {config.rendezvous}: {exc}") from exc
 
-    listener.close()  # every expected peer is connected; nobody else may dial in
+        if reply is None:
+            raise TransportError("coordinator closed the connection before sending the table")
+        if reply.get("op") == "error":
+            reason = reply.get("reason", "rendezvous failed")
+            if reason == "rank-conflict":
+                raise RankConflict(rank)
+            raise TransportError(reason)
+        if reply.get("op") != "table" or len(reply.get("peers", ())) != nprocs:
+            raise TransportError(f"malformed rendezvous table: {reply!r}")
+        peers = reply["peers"]
+        hetero = bool(reply.get("hetero", config.hetero))
+
+        try:
+            # Lower rank dials higher rank; TCP lets every dial complete against
+            # the peer's backlog, so a plain dial-then-accept order cannot deadlock.
+            for q in range(rank + 1, nprocs):
+                host, port = peers[q]
+                conn = socket.create_connection((host, port), timeout=_remaining(deadline, total))
+                conn.sendall(_HELLO.pack(_HELLO_MAGIC, rank))
+                conns[q] = conn
+            for _ in range(rank):
+                listener.settimeout(_remaining(deadline, total))
+                conn, _addr = listener.accept()
+                conn.settimeout(_remaining(deadline, total))
+                hello = conn.recv(_HELLO.size, socket.MSG_WAITALL)
+                magic, peer = _HELLO.unpack(hello)
+                if magic != _HELLO_MAGIC or not 0 <= peer < rank or peer in conns:
+                    conn.close()
+                    raise TransportError(f"unexpected mesh hello from {_addr}: {hello!r}")
+                conns[peer] = conn
+            for conn in conns.values():
+                conn.settimeout(None)
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except socket.timeout:
+            raise RendezvousTimeout(total) from None
+        except (OSError, struct.error) as exc:
+            raise TransportError(f"mesh establishment failed: {exc}") from exc
+    except BaseException:
+        for conn in conns.values():
+            conn.close()
+        raise
+    finally:
+        listener.close()  # once every peer is connected, nobody else may dial in
+
     mailbox = Mailbox()
     backend = _MeshBackend(rank, conns, mailbox)
     return TransportContext(rank, nprocs, backend, mailbox, hetero)
@@ -195,10 +184,10 @@ class Coordinator:
     connected rank gets an error message before the exception is raised.
     """
 
-    def __init__(self, nprocs: int, host: str = "127.0.0.1", timeout: float = 10.0):
+    def __init__(self, nprocs: int, timeout: float = 10.0):
         self.nprocs = nprocs
         self.timeout = timeout
-        self._listener = socket.create_server((host, 0), backlog=max(nprocs, 1))
+        self._listener = socket.create_server((_HOST, 0), backlog=max(nprocs, 1))
         self.host, self.port = self._listener.getsockname()
         self.address = f"{self.host}:{self.port}"
         self.registered: list[int] = []  # arrival order, for logs and tests

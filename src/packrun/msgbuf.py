@@ -50,13 +50,11 @@ class MsgBuf:
     """A communicator-bound buffer with chainable pack and transfer calls."""
 
     def __init__(self, ctx: TransportContext, registry: Optional[TypeRegistry] = None,
-                 comm: Optional[Communicator] = None, encoding: Optional[Encoding] = None):
-        if encoding is None:
-            encoding = Encoding.PORTABLE if ctx.hetero else Encoding.NATIVE
+                 comm: Optional[Communicator] = None):
         self._ctx = ctx
         self._registry = registry
         self.comm = comm if comm is not None else ctx.world
-        self._buf = Buffer(encoding)
+        self._buf = Buffer(Encoding.PORTABLE if ctx.hetero else Encoding.NATIVE)
         self.last_source: Optional[int] = None
 
     # -- buffer views
@@ -139,8 +137,7 @@ class MsgBuf:
         return self.take("string").text
 
     def take_bytes(self) -> bytes:
-        seq = self.take("seq<u8>")
-        return seq.raw if seq.raw is not None else bytes(p.value for p in seq.elements())
+        return self.take("seq<u8>").raw
 
     # -- transfers
 

@@ -48,6 +48,9 @@ from .idl import (
 )
 
 MAX_LENGTH = 2**31 - 1  # elements in a seq / bytes in a string
+# Most elements a seq may hold when they encode to no bytes (records with no
+# fields): nothing else stops four hostile bytes asking decode for MAX_LENGTH.
+MAX_ZERO_WIDTH = 2**16
 
 
 class Encoding(Enum):
@@ -402,6 +405,10 @@ def _encode(out: bytearray, encoding: Encoding, registry: Optional[TypeRegistry]
             raise SchemaMismatch(path, f"sequence of at most {MAX_LENGTH} elements", f"{len(value)} elements")
         if value.raw is not None and kind.element != Primitive(PrimTag.U8):
             raise SchemaMismatch(path, f"sequence of {format_kind(kind.element)}", "byte sequence")
+        if (len(value) > MAX_ZERO_WIDTH
+                and not _min_encoded_size(encoding, registry, kind.element, frozenset())):
+            raise SchemaMismatch(path, f"at most {MAX_ZERO_WIDTH} zero-width elements",
+                                 f"{len(value)} elements")
         out += struct.pack(_length_fmt(encoding), len(value))
         _encode_elements(out, encoding, registry, kind.element, value, path, fixed=False)
         return
@@ -547,10 +554,13 @@ def _decode(buf: Buffer, registry: Optional[TypeRegistry], kind: FieldKind) -> D
             # Reject hostile counts before allocating.  Byte sequences skip
             # this: their payload is count bytes plus padding, checked
             # exactly in _decode_elements.  Zero-size elements (records with
-            # no fields) are exempt; the count cap above still bounds them.
+            # no fields) have their own cap.
             per_element = _min_encoded_size(encoding, registry, kind.element, frozenset())
             if per_element and count * per_element > buf.remaining:
                 raise Truncated(count * per_element, buf.remaining)
+            if not per_element and count > MAX_ZERO_WIDTH:
+                raise PackError(
+                    f"sequence of {count} zero-width elements exceeds the {MAX_ZERO_WIDTH} maximum")
         return _decode_elements(buf, registry, kind.element, count, fixed=False)
 
     if isinstance(kind, FixedArray):

@@ -15,7 +15,10 @@ Collective traffic travels as control-kind envelopes tagged with a
 per-communicator sequence number, so it can never be confused with user
 messages, even ones received with wildcard filters.  All members must issue
 collectives on one communicator in the same order; the sequence numbers then
-agree on every rank without any allocation traffic.
+agree on every rank without any allocation traffic.  The one collective
+algorithm lives in ``TransportContext._fan_in`` (every member's body to a
+root) and ``_fan_out`` (a body per member from a root); each collective
+calls one or both.
 """
 
 from __future__ import annotations
@@ -49,6 +52,12 @@ class _NotMember:
 NOT_MEMBER = _NotMember()  # comm_create's result for ranks outside the subset
 
 WORLD_COMM_ID = 0
+
+# Environment the launcher sets for each spawned rank (see WorldConfig.from_env)
+ENV_RANK = "PACKRUN_RANK"
+ENV_NPROCS = "PACKRUN_NPROCS"
+ENV_COORD = "PACKRUN_COORD"
+ENV_HETERO = "PACKRUN_HETERO"
 
 # Control opcodes (first payload byte of control-kind envelopes)
 _OP_BARRIER_ENTER = 1
@@ -150,15 +159,15 @@ class WorldConfig:
         A process started by the launcher sees PACKRUN_COORD and joins the
         socket mesh; anything else becomes a single-rank world.
         """
-        coord = env.get("PACKRUN_COORD")
+        coord = env.get(ENV_COORD)
         if coord is None:
             return cls()
         return cls(
-            nprocs=int(env["PACKRUN_NPROCS"]),
+            nprocs=int(env[ENV_NPROCS]),
             backend=BackendKind.SOCKET_MESH,
             rendezvous=coord,
-            my_rank_hint=int(env["PACKRUN_RANK"]),
-            hetero=env.get("PACKRUN_HETERO", "0") == "1",
+            my_rank_hint=int(env[ENV_RANK]),
+            hetero=env.get(ENV_HETERO, "0") == "1",
         )
 
 
@@ -174,9 +183,6 @@ class Communicator:
     def size(self) -> int:
         return len(self.members)
 
-    def world_rank(self, local: int) -> int:
-        return self.members[local]
-
     def local_of(self, world: int) -> int:
         local = bisect_left(self.members, world)
         if local == len(self.members) or self.members[local] != world:
@@ -187,6 +193,11 @@ class Communicator:
 def _check_tag(tag) -> None:
     if not (isinstance(tag, int) and 0 <= tag < 2**32):
         raise TransportError(f"tag {tag} does not fit in u32")
+
+
+def _check_rank(comm: Communicator, rank, error=InvalidRank) -> None:
+    if not (isinstance(rank, int) and 0 <= rank < comm.size):
+        raise error(rank)
 
 
 # ---------------------------------------------------------------------------
@@ -304,20 +315,37 @@ class TransportContext:
         if self._finalized:
             raise Finalized()
 
-    def _next_seq(self, comm: Communicator) -> int:
+    def _begin_collective(self, comm: Communicator, root: int = 0) -> int:
+        """Check the context and the root; return the collective's sequence number."""
+        self._check_open()
+        _check_rank(comm, root, InvalidRoot)
         with self._lock:
             seq = (self._coll_seq.get(comm.comm_id, 0) + 1) & 0xFFFFFFFF
             self._coll_seq[comm.comm_id] = seq
             return seq
 
-    def _post(self, env: Envelope) -> None:
-        self._backend.post(env)
+    def _fan_in(self, comm: Communicator, root: int, seq: int, opcode: int,
+                body: bytes) -> Optional[list[bytes]]:
+        """Send ``body`` to ``root``; root gets every member's, in local-rank order."""
+        if comm.local_rank != root:
+            self._send_control(comm, root, seq, opcode, body)
+            return None
+        return [body if m == root else self._recv_control(comm, m, seq, opcode)
+                for m in range(comm.size)]
+
+    def _fan_out(self, comm: Communicator, root: int, seq: int, opcode: int, bodies) -> bytes:
+        """Root sends ``bodies[m]`` to each other member ``m``; each returns its own."""
+        if comm.local_rank != root:
+            return self._recv_control(comm, root, seq, opcode)
+        for m in range(comm.size):
+            if m != root:
+                self._send_control(comm, m, seq, opcode, bodies[m])
+        return bodies[root]
 
     def _send_control(self, comm: Communicator, dest_local: int, seq: int,
-                      opcode: int, body: bytes = b"") -> None:
-        env = Envelope(self.rank, comm.members[dest_local], comm.comm_id,
-                       seq, bytes([opcode]) + body, KIND_CONTROL)
-        self._post(env)
+                      opcode: int, body: bytes) -> None:
+        self._backend.post(Envelope(self.rank, comm.members[dest_local], comm.comm_id,
+                                    seq, bytes([opcode]) + body, KIND_CONTROL))
 
     def _recv_control(self, comm: Communicator, src_local: int, seq: int, opcode: int) -> bytes:
         env = self._mailbox.take(KIND_CONTROL, comm.comm_id, comm.members[src_local], seq)
@@ -331,21 +359,20 @@ class TransportContext:
 
     def send(self, comm: Communicator, dest: int, tag: int, payload: bytes) -> None:
         self._check_open()
-        if not 0 <= dest < comm.size:
-            raise InvalidRank(dest)
+        _check_rank(comm, dest)
         if dest == comm.local_rank:
             raise SelfSend()
         _check_tag(tag)
         payload = bytes(payload)
         if len(payload) > MAX_PAYLOAD:
             raise TransportError(f"payload of {len(payload)} bytes exceeds the {MAX_PAYLOAD} maximum")
-        self._post(Envelope(self.rank, comm.members[dest], comm.comm_id, tag, payload, KIND_DATA))
+        self._backend.post(Envelope(self.rank, comm.members[dest], comm.comm_id, tag, payload, KIND_DATA))
 
     def recv(self, comm: Communicator, source=ANY, tag=ANY,
              timeout: Optional[float] = None) -> tuple[int, int, bytes]:
         self._check_open()
-        if source is not ANY and not 0 <= source < comm.size:
-            raise InvalidRank(source)
+        if source is not ANY:
+            _check_rank(comm, source)
         if tag is not ANY:
             _check_tag(tag)
         env = self._mailbox.take(KIND_DATA, comm.comm_id,
@@ -356,63 +383,28 @@ class TransportContext:
     # -- collectives
 
     def barrier(self, comm: Communicator) -> None:
-        self._check_open()
-        seq = self._next_seq(comm)
-        if comm.size == 1:
-            return
-        if comm.local_rank == 0:
-            for m in range(1, comm.size):
-                self._recv_control(comm, m, seq, _OP_BARRIER_ENTER)
-            for m in range(1, comm.size):
-                self._send_control(comm, m, seq, _OP_BARRIER_RELEASE)
-        else:
-            self._send_control(comm, 0, seq, _OP_BARRIER_ENTER)
-            self._recv_control(comm, 0, seq, _OP_BARRIER_RELEASE)
+        seq = self._begin_collective(comm)
+        self._fan_in(comm, 0, seq, _OP_BARRIER_ENTER, b"")
+        self._fan_out(comm, 0, seq, _OP_BARRIER_RELEASE, [b""] * comm.size)
 
     def broadcast(self, comm: Communicator, root: int, payload: Optional[bytes] = None) -> bytes:
-        self._check_open()
-        if not 0 <= root < comm.size:
-            raise InvalidRoot(root)
-        seq = self._next_seq(comm)
+        seq = self._begin_collective(comm, root)
         if comm.local_rank == root:
-            data = bytes(payload if payload is not None else b"")
-            for m in range(comm.size):
-                if m != root:
-                    self._send_control(comm, m, seq, _OP_BCAST, data)
-            return data
-        return self._recv_control(comm, root, seq, _OP_BCAST)
+            payload = bytes(payload if payload is not None else b"")
+        return self._fan_out(comm, root, seq, _OP_BCAST, [payload] * comm.size)
 
     def gather(self, comm: Communicator, root: int, payload: bytes) -> Optional[list[bytes]]:
-        self._check_open()
-        if not 0 <= root < comm.size:
-            raise InvalidRoot(root)
-        seq = self._next_seq(comm)
-        payload = bytes(payload)
-        if comm.local_rank != root:
-            self._send_control(comm, root, seq, _OP_GATHER, payload)
-            return None
-        parts: list[Optional[bytes]] = [None] * comm.size
-        parts[root] = payload
-        for m in range(comm.size):
-            if m != root:
-                parts[m] = self._recv_control(comm, m, seq, _OP_GATHER)
-        return parts
+        seq = self._begin_collective(comm, root)
+        return self._fan_in(comm, root, seq, _OP_GATHER, bytes(payload))
 
     def scatter(self, comm: Communicator, root: int,
                 segments: Optional[list[bytes]] = None) -> bytes:
-        self._check_open()
-        if not 0 <= root < comm.size:
-            raise InvalidRoot(root)
-        seq = self._next_seq(comm)
-        if comm.local_rank != root:
-            return self._recv_control(comm, root, seq, _OP_SCATTER)
-        segments = [bytes(s) for s in (segments or [])]
-        if len(segments) != comm.size:
-            raise SegmentCountMismatch(comm.size, len(segments))
-        for m in range(comm.size):
-            if m != root:
-                self._send_control(comm, m, seq, _OP_SCATTER, segments[m])
-        return segments[root]
+        seq = self._begin_collective(comm, root)
+        if comm.local_rank == root:
+            segments = [bytes(s) for s in (segments or [])]
+            if len(segments) != comm.size:
+                raise SegmentCountMismatch(comm.size, len(segments))
+        return self._fan_out(comm, root, seq, _OP_SCATTER, segments)
 
     def comm_create(self, parent: Communicator, members):
         """Collectively carve a child communicator out of ``parent``.
@@ -423,37 +415,24 @@ class TransportContext:
         """
         self._check_open()
         requested = list(members)
+        for m in requested:
+            _check_rank(parent, m)
         subset = sorted(set(requested))
         if not subset:
             raise EmptySubset()
         if len(subset) != len(requested):
             raise InvalidRank(next(m for m in requested if requested.count(m) > 1))
-        for m in subset:
-            if not 0 <= m < parent.size:
-                raise InvalidRank(m)
         world_members = tuple(sorted(parent.members[m] for m in subset))
         proposal = struct.pack(f">{len(world_members)}I", *world_members)
-        seq = self._next_seq(parent)
-        if parent.local_rank == 0:
-            agreed = True
-            for m in range(1, parent.size):
-                if self._recv_control(parent, m, seq, _OP_COMM_PROPOSAL) != proposal:
-                    agreed = False
-            if agreed:
-                child_id = self._allocate_comm_id(parent.comm_id)
-                result = b"\x01" + struct.pack(">I", child_id)
-            else:
-                result = b"\x00"
-            for m in range(1, parent.size):
-                self._send_control(parent, m, seq, _OP_COMM_RESULT, result)
-            if not agreed:
-                raise TransportError("comm_create needs an identical subset from every parent member")
-        else:
-            self._send_control(parent, 0, seq, _OP_COMM_PROPOSAL, proposal)
-            result = self._recv_control(parent, 0, seq, _OP_COMM_RESULT)
-            if result[:1] != b"\x01":
-                raise TransportError("comm_create needs an identical subset from every parent member")
-            (child_id,) = struct.unpack(">I", result[1:5])
+        seq = self._begin_collective(parent)
+        proposals = self._fan_in(parent, 0, seq, _OP_COMM_PROPOSAL, proposal)
+        result = b"\x00"  # local rank 0 decides for everyone
+        if proposals is not None and all(p == proposal for p in proposals):
+            result = b"\x01" + struct.pack(">I", self._allocate_comm_id(parent.comm_id))
+        result = self._fan_out(parent, 0, seq, _OP_COMM_RESULT, [result] * parent.size)
+        if result[:1] != b"\x01":
+            raise TransportError("comm_create needs an identical subset from every parent member")
+        (child_id,) = struct.unpack(">I", result[1:5])
         if self.rank not in world_members:
             return NOT_MEMBER
         return Communicator(child_id, world_members, world_members.index(self.rank))
@@ -550,6 +529,5 @@ def init(config: Optional[WorldConfig] = None) -> TransportContext:
         else:
             from .mesh import connect_mesh
             ctx = connect_mesh(config)
-    slot.transport = ctx
     slot.transport_initialized = True
     return ctx

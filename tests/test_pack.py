@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from packrun.idl import FixedArray, Named, Primitive, PrimTag, RecordType, Sequence, TypeRegistry
 from packrun.pack import (
+    MAX_ZERO_WIDTH,
     Buffer,
     Encoding,
     MalformedBool,
@@ -287,6 +288,37 @@ def test_sequence_of_empty_records_decodes():
     assert encoded == struct.pack(">I", 2)
     decoded = decode_value(encoded, Encoding.PORTABLE, "seq<nothing>", registry)
     assert decoded == Seq([Rec("nothing", []), Rec("nothing", [])])
+
+
+_NOTHING = TypeRegistry.from_idl("record nothing { }")
+
+
+@pytest.mark.parametrize("encoding", [Encoding.PORTABLE, Encoding.NATIVE])
+def test_hostile_count_of_zero_width_elements_rejected_quickly(encoding):
+    # Elements that encode to no bytes escape the count-versus-remaining
+    # guard, so four bytes could otherwise ask for billions of records.  The
+    # smallest hostile count goes first: without the bound it fails in a
+    # fraction of a second and the test never builds 2**31 - 1 records.
+    order = ">" if encoding is Encoding.PORTABLE else "="
+    for count in (MAX_ZERO_WIDTH + 1, 2**31 - 1):
+        started = time.monotonic()
+        with pytest.raises(PackError, match="zero-width"):
+            decode_value(struct.pack(order + "I", count), encoding, "seq<nothing>", _NOTHING)
+        assert time.monotonic() - started < 0.1
+
+
+@pytest.mark.parametrize("encoding", [Encoding.PORTABLE, Encoding.NATIVE])
+def test_zero_width_sequence_at_the_bound_round_trips_and_one_more_is_rejected(encoding):
+    at_bound = Seq([Rec("nothing", [])] * MAX_ZERO_WIDTH)
+    encoded = encode_value(at_bound, encoding, "seq<nothing>", _NOTHING)
+    assert decode_value(encoded, encoding, "seq<nothing>", _NOTHING) == at_bound
+    buf = Buffer(encoding)
+    pack(buf, Prim(PrimTag.I32, 1))
+    snapshot = buf.data
+    with pytest.raises(SchemaMismatch) as err:
+        pack(buf, Seq([Rec("nothing", [])] * (MAX_ZERO_WIDTH + 1)), "seq<nothing>", _NOTHING)
+    assert err.value.path == "$"
+    assert buf.data == snapshot
 
 
 # ---------------------------------------------------------------------------

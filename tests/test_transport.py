@@ -1,6 +1,7 @@
 """Runtime messaging: point-to-point, filters, collectives, communicators."""
 
 import random
+import struct
 import sys
 import threading
 import time
@@ -26,6 +27,7 @@ from packrun.transport import (
     WorldConfig,
     init,
 )
+from packrun.wire import KIND_CONTROL, Envelope
 from support import make_world, run_ranks
 
 
@@ -125,6 +127,22 @@ def test_tag_outside_u32_rejected_by_send_and_recv(tag):
     with pytest.raises(TransportError, match="does not fit in u32"):
         c1.recv(c1.world, tag=tag, timeout=1)
     assert time.monotonic() - t0 < 0.5
+
+
+@pytest.mark.parametrize("rank", ["x", None, 1.5, [0], -1, 2])
+def test_rank_that_is_not_a_member_index_is_rejected_everywhere(rank):
+    # A non-integer rank must fail like an out-of-range one, not with the
+    # TypeError of comparing or indexing with it.
+    _, (c0, c1) = make_world(2)
+    with pytest.raises(InvalidRank):
+        c0.send(c0.world, rank, 0, b"")
+    with pytest.raises(InvalidRank):
+        c1.recv(c1.world, source=rank, timeout=1)
+    with pytest.raises(InvalidRank):
+        c0.comm_create(c0.world, [0, rank])
+    for collective in (c0.broadcast, c0.gather, c0.scatter):
+        with pytest.raises(InvalidRoot):
+            collective(c0.world, rank, b"")
 
 
 def test_tag_filter_skips_and_keeps_nonmatching():
@@ -406,6 +424,14 @@ def test_scatter_segment_count_checked_at_root():
     assert (err.value.expected, err.value.found) == (3, 2)
 
 
+def test_non_root_collective_arguments_are_left_untouched():
+    _, ctxs = make_world(3)
+    junk = object()  # bytes(junk) raises TypeError
+    results = run_ranks(ctxs, lambda ctx: (
+        ctx.broadcast(ctx.world, 1, b"b" if ctx.rank == 1 else junk),
+        ctx.scatter(ctx.world, 1, [b"0", b"1", b"2"] if ctx.rank == 1 else junk)))
+    assert results == [(b"b", b"0"), (b"b", b"1"), (b"b", b"2")]
+
 def test_collectives_match_reference_semantics():
     rng = random.Random(777)
     for _ in range(40):
@@ -428,6 +454,90 @@ def test_collectives_match_reference_semantics():
             assert b == payloads[root]
             assert g == (payloads if rank == root else None)
             assert s == segments[rank]
+
+
+# Control opcodes as they travel on the wire
+_ENTER, _RELEASE, _BCAST, _GATHER, _SCATTER, _PROPOSAL, _RESULT = range(1, 8)
+
+
+def test_collectives_post_the_flat_root_centric_schedule():
+    # Every envelope each rank posts, in order, against the flat algorithm:
+    # in a fan-in each non-root member sends its body to the root, in a
+    # fan-out the root sends each other member its body in local-rank
+    # order.  barrier and comm_create are a fan-in then a fan-out at local
+    # rank 0; broadcast and scatter one fan-out; gather one fan-in.
+    rng = random.Random(6)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        world, ctxs = make_world(n)
+        posted = [[] for _ in range(n)]
+        deliver = world.post
+
+        def record(env):
+            posted[env.src].append(env)
+            deliver(env)
+
+        world.post = record
+        bcast_root, gather_root, scatter_root = (rng.randrange(n) for _ in range(3))
+        payloads = [bytes(rng.randrange(256) for _ in range(rng.randint(0, 6))) for _ in range(n)]
+        segments = [bytes(rng.randrange(256) for _ in range(rng.randint(0, 6))) for _ in range(n)]
+        subset = sorted(rng.sample(range(n), rng.randint(1, n)))
+        child_root = rng.randrange(len(subset))
+
+        def member(ctx):
+            ctx.barrier(ctx.world)
+            ctx.broadcast(ctx.world, bcast_root, payloads[ctx.rank] if ctx.rank == bcast_root else None)
+            ctx.gather(ctx.world, gather_root, payloads[ctx.rank])
+            ctx.scatter(ctx.world, scatter_root, segments if ctx.rank == scatter_root else None)
+            child = ctx.comm_create(ctx.world, subset)
+            if child is not NOT_MEMBER:
+                ctx.gather(child, child_root, payloads[ctx.rank])
+                ctx.barrier(child)
+            if n > 1:
+                with pytest.raises(TransportError, match="identical subset"):
+                    ctx.comm_create(ctx.world, [0] if ctx.rank == 0 else range(n))
+            return child
+
+        results = run_ranks(ctxs, member)
+        child_id = 1  # the first child of the world: (0 << 8) | 1
+        assert {c.comm_id for c in results if c is not NOT_MEMBER} == {child_id}
+
+        expected = [[] for _ in range(n)]
+
+        def fan_in(comm_id, members, root, seq, opcode, bodies):
+            for m, rank in enumerate(members):
+                if m != root:
+                    expected[rank].append(Envelope(rank, members[root], comm_id, seq,
+                                                   bytes([opcode]) + bodies[m], KIND_CONTROL))
+
+        def fan_out(comm_id, members, root, seq, opcode, bodies):
+            for m, rank in enumerate(members):
+                if m != root:
+                    expected[members[root]].append(Envelope(members[root], rank, comm_id, seq,
+                                                            bytes([opcode]) + bodies[m], KIND_CONTROL))
+
+        everyone = list(range(n))
+        fan_in(0, everyone, 0, 1, _ENTER, [b""] * n)
+        fan_out(0, everyone, 0, 1, _RELEASE, [b""] * n)
+        fan_out(0, everyone, bcast_root, 2, _BCAST, [payloads[bcast_root]] * n)
+        fan_in(0, everyone, gather_root, 3, _GATHER, payloads)
+        fan_out(0, everyone, scatter_root, 4, _SCATTER, segments)
+        fan_in(0, everyone, 0, 5, _PROPOSAL, [struct.pack(f">{len(subset)}I", *subset)] * n)
+        fan_out(0, everyone, 0, 5, _RESULT, [b"\x01" + struct.pack(">I", child_id)] * n)
+        fan_in(child_id, subset, child_root, 1, _GATHER, [payloads[r] for r in subset])
+        fan_in(child_id, subset, 0, 2, _ENTER, [b""] * len(subset))
+        fan_out(child_id, subset, 0, 2, _RELEASE, [b""] * len(subset))
+        if n > 1:
+            fan_in(0, everyone, 0, 6, _PROPOSAL,
+                   [struct.pack(">I", 0)] + [struct.pack(f">{n}I", *everyone)] * (n - 1))
+            fan_out(0, everyone, 0, 6, _RESULT, [b"\x00"] * n)
+        assert posted == expected
+        # P-1 envelopes per broadcast, gather and scatter; 2(P-1) per barrier
+        # and comm_create: on the world 3 + 2 * 3 collectives, on the child
+        # one gather and one barrier
+        c = len(subset)
+        assert sum(map(len, posted)) == 9 * (n - 1) + 3 * (c - 1)
+        assert all(ctx._mailbox.pending() == 0 for ctx in ctxs)
 
 
 def test_collective_traffic_invisible_to_wildcard_recv():
