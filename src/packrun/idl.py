@@ -426,6 +426,8 @@ class TypeRegistry:
     """
 
     entries: dict[str, TypeDescriptor] = field(default_factory=dict)
+    # packrun.pack's compiled codecs for these types; register empties it
+    _codecs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_idl(cls, source: str) -> "TypeRegistry":
@@ -438,6 +440,7 @@ class TypeRegistry:
         if descriptor.name in self.entries:
             raise DuplicateType(descriptor.name)
         self.entries[descriptor.name] = descriptor
+        self._codecs.clear()
         return self
 
     def resolve(self, name: str) -> TypeDescriptor:

@@ -1,8 +1,8 @@
 """Buffers and descriptor-driven serialization.
 
 Values are dynamically typed trees (:class:`Prim`, :class:`Str`,
-:class:`Seq`, :class:`Rec`, :class:`Var`).  ``pack`` walks a value together
-with its type descriptor and appends bytes to a :class:`Buffer`; ``unpack``
+:class:`Seq`, :class:`Rec`, :class:`Var`).  ``pack`` checks a value against
+a type descriptor and appends its bytes to a :class:`Buffer`; ``unpack``
 reads them back.  Two encodings exist:
 
 * ``Encoding.NATIVE`` uses host byte order and natural scalar widths
@@ -14,6 +14,18 @@ reads them back.  Two encodings exist:
   length-prefixed and zero-padded to a four-byte boundary.  The portable byte
   string for a value is a pure function of descriptor and value, identical on
   every host.
+
+Each kind is compiled once per encoding into a pair of closures, cached per
+:class:`TypeRegistry` under the kind as given, so a kind string is parsed
+once (``register`` empties the cache).  The encoder checks each node and
+appends its bytes; the decoder reads at an offset with precompiled structs.
+A path such as ``$.samples[3].weight`` is spelled out only for a failure.
+
+Besides a list of values, a :class:`Seq` has two compact forms: ``bytes``
+for ``u8``, and an ``array.array`` for ``i32``, ``u32``, ``i64``, ``u64``,
+``f32`` and ``f64``.  Those sequences decode into the compact form in one
+step (one ``byteswap`` for portable data on a little-endian host), and the
+compact form packs in one copy.
 
 A buffer is append-only on the write side; extraction never removes bytes, it
 only advances the read cursor.  Successive packs concatenate, so one buffer
@@ -27,8 +39,10 @@ message layout.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 import sys
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Union
@@ -111,6 +125,15 @@ class MalformedString(PackError):
         self.detail = detail
 
 
+class _Mismatch(Exception):
+    """A :class:`SchemaMismatch` whose enclosing nodes append their path steps."""
+
+    def __init__(self, expected: str, found, step: Optional[str] = None):
+        self.expected = expected
+        self.found = found
+        self.steps = [step] if step else []
+
+
 # ---------------------------------------------------------------------------
 # Dynamic values
 
@@ -142,52 +165,78 @@ class Var:
     payload: Optional["DynValue"] = None
 
 
+# array typecodes of the compact numeric forms, each as wide as its tag on the wire
+_ARRAY_TAG = {"i": PrimTag.I32, "I": PrimTag.U32, "q": PrimTag.I64,
+              "Q": PrimTag.U64, "f": PrimTag.F32, "d": PrimTag.F64}
+
+
 class Seq:
     """An ordered sequence of values.
 
-    ``items`` may be a list of values or, for byte sequences, a ``bytes``
-    object that stands for one ``u8`` element per byte.  The compact form is
-    what large payloads should use; it packs and unpacks as a single copy.
-    Equality treats the two forms as interchangeable.
+    ``items`` is a list of values or a compact form, which is copied: a
+    ``bytes``-like object (one ``u8`` per byte) or an ``array.array`` of
+    typecode ``i``, ``I``, ``q``, ``Q``, ``f`` or ``d`` (one ``i32``, ``u32``,
+    ``i64``, ``u64``, ``f32`` or ``f64`` per item).  An array of another
+    typecode counts as a list of its numbers.  Compact forms pack and unpack
+    in bulk; equality compares element by element across forms.
     """
 
-    __slots__ = ("_items", "_raw")
+    __slots__ = ("_items",)
 
     def __init__(self, items):
         if isinstance(items, (bytes, bytearray, memoryview)):
-            self._raw: Optional[bytes] = bytes(items)
-            self._items: Optional[list] = None
+            self._items = bytes(items)
+        elif isinstance(items, array) and items.typecode in _ARRAY_TAG:
+            self._items = array(items.typecode, items)
         else:
-            self._raw = None
             self._items = list(items)
+
+    @classmethod
+    def _wrap(cls, items) -> "Seq":
+        """A Seq that takes ``items`` (a list, bytes or a compact array) without a copy."""
+        seq = cls.__new__(cls)
+        seq._items = items
+        return seq
 
     @property
     def raw(self) -> Optional[bytes]:
-        return self._raw
+        return self._items if type(self._items) is bytes else None
+
+    @property
+    def array(self) -> Optional[array]:
+        return self._items if type(self._items) is array else None
 
     def __len__(self) -> int:
-        return len(self._raw) if self._raw is not None else len(self._items)
+        return len(self._items)
 
     def elements(self) -> Iterator["DynValue"]:
-        if self._raw is not None:
-            for b in self._raw:
-                yield Prim(PrimTag.U8, b)
-        else:
-            yield from self._items
+        if type(self._items) is list:
+            return iter(self._items)
+        tag = _compact_tag(self._items)
+        return (Prim(tag, v) for v in self._items)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Seq):
             return NotImplemented
-        if self._raw is not None and other._raw is not None:
-            return self._raw == other._raw
-        if len(self) != len(other):
+        a, b = self._items, other._items
+        if len(a) != len(b):
             return False
-        return all(a == b for a, b in zip(self.elements(), other.elements()))
+        if type(a) is list and type(b) is list:
+            return all(map(operator.eq, a, b))
+        if type(a) is not list and type(b) is not list:
+            return not a or (_compact_tag(a) is _compact_tag(b) and a == b)
+        compact, items = (b, a) if type(a) is list else (a, b)
+        # Prim equality with each compact element, without building the Prims
+        tag = _compact_tag(compact)
+        values = [p.value for p in items if p.__class__ is Prim and tag == p.tag]
+        return len(values) == len(items) and list(compact) == values
 
     def __repr__(self) -> str:
-        if self._raw is not None:
-            return f"Seq({self._raw!r})"
         return f"Seq({self._items!r})"
+
+
+def _compact_tag(items) -> PrimTag:
+    return _U8 if type(items) is bytes else _ARRAY_TAG[items.typecode]
 
 
 DynValue = Union[Prim, Str, Seq, Rec, Var]
@@ -244,13 +293,6 @@ class Buffer:
         self._data += raw
         return self
 
-    def take(self, n: int) -> bytes:
-        if n > self.remaining:
-            raise Truncated(n, self.remaining)
-        chunk = bytes(self._data[self._cursor:self._cursor + n])
-        self._cursor += n
-        return chunk
-
     def __repr__(self) -> str:
         return f"Buffer({self.encoding.value}, size={self.size}, cursor={self._cursor})"
 
@@ -259,19 +301,9 @@ class Buffer:
 # Encoding tables
 
 _HOST = "<" if sys.byteorder == "little" else ">"
-
-_PORTABLE_FMT = {
-    PrimTag.I32: ">i", PrimTag.U32: ">I",
-    PrimTag.I64: ">q", PrimTag.U64: ">Q",
-    PrimTag.F32: ">f", PrimTag.F64: ">d",
-    PrimTag.U8: ">I", PrimTag.BOOL: ">I",
-}
-_NATIVE_FMT = {
-    PrimTag.I32: _HOST + "i", PrimTag.U32: _HOST + "I",
-    PrimTag.I64: _HOST + "q", PrimTag.U64: _HOST + "Q",
-    PrimTag.F32: _HOST + "f", PrimTag.F64: _HOST + "d",
-    PrimTag.U8: "B", PrimTag.BOOL: "B",
-}
+# struct (and array.array) code of each scalar; portable widens u8 and bool to "I"
+_CODE = {PrimTag.I32: "i", PrimTag.U32: "I", PrimTag.I64: "q", PrimTag.U64: "Q",
+         PrimTag.F32: "f", PrimTag.F64: "d", PrimTag.U8: "B", PrimTag.BOOL: "B"}
 
 _INT_RANGE = {
     PrimTag.I32: (-2**31, 2**31 - 1),
@@ -280,42 +312,38 @@ _INT_RANGE = {
     PrimTag.U64: (0, 2**64 - 1),
     PrimTag.U8: (0, 255),
 }
-_FLOAT_TAGS = (PrimTag.F32, PrimTag.F64)
-
-
-def _pad4(n: int) -> int:
-    return (4 - n % 4) % 4
+# hot paths name these members directly: reading one through its Enum class is slow
+_BOOL, _U8, _F32, _F64, _PORTABLE = (
+    PrimTag.BOOL, PrimTag.U8, PrimTag.F32, PrimTag.F64, Encoding.PORTABLE)
+_ZERO_PAD = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")  # the pad of a length n is -n % 4 bytes
 
 
 def _scalar_fmt(encoding: Encoding, tag: PrimTag) -> str:
-    return (_PORTABLE_FMT if encoding is Encoding.PORTABLE else _NATIVE_FMT)[tag]
-
-
-def _length_fmt(encoding: Encoding) -> str:
-    return ">I" if encoding is Encoding.PORTABLE else _HOST + "I"
+    """Byte order and struct code of ``tag``; ``u32``'s is also the length prefix's."""
+    if encoding is Encoding.NATIVE:
+        return _HOST + _CODE[tag]
+    return ">I" if tag in (PrimTag.U8, PrimTag.BOOL) else ">" + _CODE[tag]
 
 
 # ---------------------------------------------------------------------------
-# Kind resolution and validation
+# Value checks
 
 
-def _as_kind(kind) -> FieldKind:
-    if isinstance(kind, str):
-        return parse_kind(kind)
-    return kind
+# one object per kind, so a codec cache lookup finds it by identity
+_INFERRED = {tag: (Primitive(tag), Sequence(Primitive(tag))) for tag in PrimTag}
 
 
 def infer_kind(value: DynValue) -> FieldKind:
     """Derive the field kind a value encodes as, where it is unambiguous."""
     if isinstance(value, Prim):
-        return Primitive(value.tag)
+        return _INFERRED[value.tag][0] if value.tag in _INFERRED else Primitive(value.tag)
     if isinstance(value, Str):
-        return Primitive(PrimTag.STRING)
+        return _INFERRED[PrimTag.STRING][0]
     if isinstance(value, (Rec, Var)):
         return Named(value.type_name)
     if isinstance(value, Seq):
-        if value.raw is not None:
-            return Sequence(Primitive(PrimTag.U8))
+        if value.raw is not None or value.array is not None:
+            return _INFERRED[_compact_tag(value._items)][1]
         if len(value) == 0:
             raise SchemaMismatch("$", "an explicit kind for an empty sequence", "empty sequence")
         return Sequence(infer_kind(next(value.elements())))
@@ -345,150 +373,52 @@ def _describe(value) -> str:
     return type(value).__name__
 
 
-# ---------------------------------------------------------------------------
-# Encoding
-
-
-def _scalar(tag: PrimTag, value: DynValue, path: str) -> Union[int, float]:
+def _scalar(tag: PrimTag, value: DynValue) -> Union[int, float]:
     """Check a scalar value against ``tag`` and return the number to write."""
     if not isinstance(value, Prim) or value.tag is not tag:
-        raise SchemaMismatch(path, tag.value, _describe(value))
+        raise _Mismatch(tag.value, _describe(value))
     v = value.value
-    if tag is PrimTag.BOOL:
+    if tag is _BOOL:
         if not isinstance(v, bool):
-            raise SchemaMismatch(path, "bool", _describe(value))
+            raise _Mismatch("bool", _describe(value))
         return 1 if v else 0
-    if tag in _FLOAT_TAGS:
+    if tag is _F32 or tag is _F64:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaMismatch(path, tag.value, _describe(value))
-        if tag is PrimTag.F32 and not _f32_exact(float(v)):
-            raise SchemaMismatch(path, "a single-precision representable f32", repr(v))
+            raise _Mismatch(tag.value, _describe(value))
+        if tag is _F32 and not _f32_exact(float(v)):
+            raise _Mismatch("a single-precision representable f32", repr(v))
         return v
     if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaMismatch(path, tag.value, _describe(value))
+        raise _Mismatch(tag.value, _describe(value))
     lo, hi = _INT_RANGE[tag]
     if not lo <= v <= hi:
-        raise SchemaMismatch(path, f"{tag.value} in [{lo}, {hi}]", str(v))
+        raise _Mismatch(f"{tag.value} in [{lo}, {hi}]", str(v))
     return v
 
 
-def _encode(out: bytearray, encoding: Encoding, registry: Optional[TypeRegistry],
-            kind: FieldKind, value: DynValue, path: str) -> None:
-    """Check each node of ``value`` against ``kind``, then append its bytes.
-
-    A mismatch raises part-way through, after earlier nodes were written;
-    ``pack`` cuts ``out`` back so the caller never sees those bytes.
-    """
-    if isinstance(kind, Primitive):
-        tag = kind.tag
-        if tag is PrimTag.STRING:
-            if not isinstance(value, Str):
-                raise SchemaMismatch(path, "string", _describe(value))
-            try:
-                payload = value.text.encode("utf-8")
-            except UnicodeEncodeError:
-                raise SchemaMismatch(path, "a UTF-8 encodable string", "unencodable text") from None
-            if len(payload) > MAX_LENGTH:
-                raise SchemaMismatch(path, f"string of at most {MAX_LENGTH} bytes", f"{len(payload)} bytes")
-            out += struct.pack(_length_fmt(encoding), len(payload))
-            out += payload
-            if encoding is Encoding.PORTABLE:
-                out += b"\x00" * _pad4(len(payload))
-            return
-        out += struct.pack(_scalar_fmt(encoding, tag), _scalar(tag, value, path))
-        return
-
-    if isinstance(kind, Sequence):
-        if not isinstance(value, Seq):
-            raise SchemaMismatch(path, f"sequence of {format_kind(kind.element)}", _describe(value))
-        if len(value) > MAX_LENGTH:
-            raise SchemaMismatch(path, f"sequence of at most {MAX_LENGTH} elements", f"{len(value)} elements")
-        if value.raw is not None and kind.element != Primitive(PrimTag.U8):
-            raise SchemaMismatch(path, f"sequence of {format_kind(kind.element)}", "byte sequence")
-        if (len(value) > MAX_ZERO_WIDTH
-                and not _min_encoded_size(encoding, registry, kind.element, frozenset())):
-            raise SchemaMismatch(path, f"at most {MAX_ZERO_WIDTH} zero-width elements",
-                                 f"{len(value)} elements")
-        out += struct.pack(_length_fmt(encoding), len(value))
-        _encode_elements(out, encoding, registry, kind.element, value, path, fixed=False)
-        return
-
-    if isinstance(kind, FixedArray):
-        if not isinstance(value, Seq):
-            raise SchemaMismatch(path, f"array of {kind.length} elements", _describe(value))
-        if len(value) != kind.length:
-            raise SchemaMismatch(path, f"array of {kind.length} elements", f"{len(value)} elements")
-        if value.raw is not None and kind.element != Primitive(PrimTag.U8):
-            raise SchemaMismatch(path, f"array of {format_kind(kind.element)}", "byte sequence")
-        _encode_elements(out, encoding, registry, kind.element, value, path, fixed=True)
-        return
-
-    assert isinstance(kind, Named)
-    if registry is None or kind.type_name not in registry:
-        raise UnknownType(kind.type_name)
-    desc = registry.resolve(kind.type_name)
-    if isinstance(desc, RecordType):
-        if not isinstance(value, Rec) or value.type_name != desc.name:
-            raise SchemaMismatch(path, f"record {desc.name}", _describe(value))
-        if len(value.fields) != len(desc.fields):
-            raise SchemaMismatch(
-                path, f"{len(desc.fields)} fields for record {desc.name}", f"{len(value.fields)} fields")
-        for fdesc, fval in zip(desc.fields, value.fields):
-            _encode(out, encoding, registry, fdesc.kind, fval, f"{path}.{fdesc.name}")
-        return
-    assert isinstance(desc, VariantType)
-    if not isinstance(value, Var) or value.type_name != desc.name:
-        raise SchemaMismatch(path, f"variant {desc.name}", _describe(value))
-    try:
-        idx = desc.arm_index(value.arm)
-    except KeyError:
-        raise SchemaMismatch(path, f"an arm of variant {desc.name}", value.arm) from None
-    arm = desc.arms[idx]
-    if arm.payload is None:
-        if value.payload is not None:
-            raise SchemaMismatch(f"{path}.{arm.name}", "no payload", _describe(value.payload))
-    elif value.payload is None:
-        raise SchemaMismatch(f"{path}.{arm.name}", format_kind(arm.payload), "no payload")
-    out += struct.pack(_length_fmt(encoding), idx)
-    if arm.payload is not None:
-        _encode(out, encoding, registry, arm.payload, value.payload, f"{path}.{arm.name}")
+def _numbers(tag: PrimTag, seq: Seq) -> list:
+    """Check each element of ``seq`` against scalar ``tag``; return the numbers to write."""
+    items = seq._items
+    if type(items) is list and tag is not _F32:
+        # one pass for the common case; anything unusual takes the checked loop
+        plain = (int,) if tag in _INT_RANGE else (float, int) if tag is _F64 else (bool,)
+        values = [p.value for p in items
+                  if p.__class__ is Prim and p.tag is tag and p.value.__class__ in plain]
+        lo, hi = _INT_RANGE.get(tag, (None, None))
+        if len(values) == len(items) and (lo is None or not values
+                                          or lo <= min(values) and max(values) <= hi):
+            return values
+    values = []
+    for i, item in enumerate(seq.elements()):
+        try:
+            values.append(_scalar(tag, item))
+        except _Mismatch as exc:
+            exc.steps.append(f"[{i}]")
+            raise
+    return values
 
 
-def _encode_elements(out: bytearray, encoding: Encoding, registry: Optional[TypeRegistry],
-                     element: FieldKind, value: Seq, path: str, fixed: bool) -> None:
-    # u8 elements encode the same whether the Seq stores compact bytes or a
-    # list of values: native and portable seq<u8> write the raw payload (the
-    # portable form padded to four bytes), while a fixed [u8; n] widens each
-    # byte like any other portable scalar element.
-    if isinstance(element, Primitive) and element.tag is PrimTag.U8:
-        raw = value.raw if value.raw is not None else bytes(
-            _scalar(PrimTag.U8, item, f"{path}[{i}]") for i, item in enumerate(value.elements()))
-        if encoding is Encoding.NATIVE:
-            out += raw
-        elif not fixed:
-            out += raw
-            out += b"\x00" * _pad4(len(raw))
-        else:
-            out += struct.pack(f">{len(raw)}I", *raw)
-        return
-    if isinstance(element, Primitive) and element.tag is not PrimTag.STRING:
-        tag = element.tag
-        fmt = _scalar_fmt(encoding, tag)
-        values = [_scalar(tag, item, f"{path}[{i}]") for i, item in enumerate(value.elements())]
-        if not values:
-            return
-        bulk = f"{fmt[0]}{len(values)}{fmt[1]}" if len(fmt) == 2 else f"{len(values)}{fmt}"
-        out += struct.pack(bulk, *values)
-        return
-    for i, item in enumerate(value.elements()):
-        _encode(out, encoding, registry, element, item, f"{path}[{i}]")
-
-
-# ---------------------------------------------------------------------------
-# Decoding
-
-
-def _min_encoded_size(encoding: Encoding, registry: Optional[TypeRegistry],
+def _min_encoded_size(encoding: Encoding, registry: TypeRegistry,
                       kind: FieldKind, seen: frozenset) -> int:
     """Lower bound on the encoded size of any value of ``kind``.
 
@@ -497,22 +427,14 @@ def _min_encoded_size(encoding: Encoding, registry: Optional[TypeRegistry],
     never decode.  Recursion bottoms out at sequences, whose minimum is an
     empty one.
     """
-    portable = encoding is Encoding.PORTABLE
     if isinstance(kind, Primitive):
-        tag = kind.tag
-        if tag is PrimTag.STRING:
-            return 4
-        if tag in (PrimTag.I64, PrimTag.U64, PrimTag.F64):
-            return 8
-        if tag in (PrimTag.U8, PrimTag.BOOL):
-            return 4 if portable else 1
-        return 4
+        return 4 if kind.tag is PrimTag.STRING else struct.calcsize(_scalar_fmt(encoding, kind.tag))
     if isinstance(kind, Sequence):
         return 4
     if isinstance(kind, FixedArray):
         return kind.length * _min_encoded_size(encoding, registry, kind.element, seen)
     assert isinstance(kind, Named)
-    if kind.type_name in seen or registry is None or kind.type_name not in registry:
+    if kind.type_name in seen or kind.type_name not in registry:
         return 0
     seen = seen | {kind.type_name}
     desc = registry.resolve(kind.type_name)
@@ -523,99 +445,323 @@ def _min_encoded_size(encoding: Encoding, registry: Optional[TypeRegistry],
     return 4 + min(sizes)
 
 
-def _take_scalar(buf: Buffer, fmt: str):
-    return struct.unpack(fmt, buf.take(struct.calcsize(fmt)))[0]
+# ---------------------------------------------------------------------------
+# Codecs: ``enc(out, value)`` checks a value and appends its bytes to ``out``
+# (``pack`` cuts them off on failure); ``dec(data, pos)`` returns (value, end).
+
+_NO_TYPES = TypeRegistry()  # stands in for a missing registry: every name is unknown
+_CACHE_LIMIT = 4096  # kinds compiled per registry before its cache starts over
 
 
-def _decode(buf: Buffer, registry: Optional[TypeRegistry], kind: FieldKind) -> DynValue:
-    encoding = buf.encoding
+def _codec(kind, encoding: Encoding, registry: Optional[TypeRegistry]) -> tuple:
+    """Return the encode and decode closures of ``kind``, compiling them on first use.
+
+    A compile publishes its named types only once they are complete, so
+    threads sharing the registry never see half a codec.
+    """
+    registry = _NO_TYPES if registry is None else registry
+    key = (kind, encoding is _PORTABLE)
+    codec = registry._codecs.get(key)
+    if codec is None:
+        compiled: dict = {}
+        codec = _compile(parse_kind(kind) if isinstance(kind, str) else kind,
+                         encoding, registry, compiled)
+        if len(registry._codecs) > _CACHE_LIMIT:
+            registry._codecs.clear()
+        registry._codecs.update(compiled)
+        registry._codecs[key] = codec
+    return codec
+
+
+def _read(st: struct.Struct, data: memoryview, pos: int):
+    try:
+        return st.unpack_from(data, pos)[0]
+    except struct.error:
+        raise Truncated(st.size, len(data) - pos) from None
+
+
+def _compile(kind: FieldKind, encoding: Encoding, registry: TypeRegistry, compiled: dict) -> tuple:
     if isinstance(kind, Primitive):
-        tag = kind.tag
-        if tag is PrimTag.STRING:
-            payload = _take_padded(buf, _take_scalar(buf, _length_fmt(encoding)))
-            try:
-                return Str(payload.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise MalformedString(str(exc)) from None
-        v = _take_scalar(buf, _scalar_fmt(encoding, tag))
-        if tag is PrimTag.BOOL:
+        if kind.tag is PrimTag.STRING:
+            return _string_codec(encoding)
+        return _scalar_codec(kind.tag, encoding)
+    if isinstance(kind, (Sequence, FixedArray)):
+        return _array_codec(kind, encoding, registry, compiled)
+    assert isinstance(kind, Named)
+    name = kind.type_name
+    key = (name, encoding is Encoding.PORTABLE)
+    codec = compiled.get(key) or registry._codecs.get(key)
+    if codec is not None:
+        return codec
+    if name not in registry:  # raises only when a value reaches it
+        def unknown(*_):
+            raise UnknownType(name)
+        return unknown, unknown
+    # references to this type from inside its own body go through cell
+    cell: list = []
+    compiled[key] = (lambda out, value: cell[0](out, value), lambda data, pos: cell[1](data, pos))
+    desc = registry.resolve(name)
+    make = _record_codec if isinstance(desc, RecordType) else _variant_codec
+    cell.extend(make(desc, encoding, registry, compiled))
+    compiled[key] = codec = tuple(cell)
+    return codec
+
+
+def _scalar_codec(tag: PrimTag, encoding: Encoding) -> tuple:
+    st = struct.Struct(_scalar_fmt(encoding, tag))
+    pack_, size = st.pack, st.size
+
+    def enc(out, value):
+        out += pack_(_scalar(tag, value))
+
+    def dec(data, pos):
+        v = _read(st, data, pos)
+        if tag is _BOOL:
             if v not in (0, 1):
                 raise MalformedBool(v)
-            return Prim(tag, bool(v))
-        if tag is PrimTag.U8 and v > 255:
+            return Prim(tag, bool(v)), pos + size
+        if tag is _U8 and v > 255:
             raise MalformedByte(v)
-        return Prim(tag, v)
+        return Prim(tag, v), pos + size
 
-    if isinstance(kind, Sequence):
-        count = _take_scalar(buf, _length_fmt(encoding))
+    return enc, dec
+
+
+def _string_codec(encoding: Encoding) -> tuple:
+    length = struct.Struct(_scalar_fmt(encoding, PrimTag.U32))
+    portable = encoding is Encoding.PORTABLE
+
+    def enc(out, value):
+        if not isinstance(value, Str):
+            raise _Mismatch("string", _describe(value))
+        try:
+            payload = value.text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise _Mismatch("a UTF-8 encodable string", "unencodable text") from None
+        if len(payload) > MAX_LENGTH:
+            raise _Mismatch(f"string of at most {MAX_LENGTH} bytes", f"{len(payload)} bytes")
+        out += length.pack(len(payload))
+        out += payload
+        if portable:
+            out += _ZERO_PAD[len(payload) % 4]
+
+    def dec(data, pos):
+        n = _read(length, data, pos)
+        pos += 4
+        taken = n + -n % 4 if portable else n
+        if taken > len(data) - pos:
+            raise Truncated(taken, len(data) - pos)
+        try:
+            return Str(str(data[pos:pos + n], "utf-8")), pos + taken
+        except UnicodeDecodeError as exc:
+            raise MalformedString(str(exc)) from None
+
+    return enc, dec
+
+
+def _array_codec(kind, encoding: Encoding, registry: TypeRegistry, compiled: dict) -> tuple:
+    """Codec of a ``seq<T>`` or ``[T; n]``: the container's checks around ``_elements``."""
+    element = kind.element
+    put, get = _elements(element, encoding, registry, compiled, isinstance(kind, FixedArray))
+    is_bytes = element == Primitive(PrimTag.U8)
+    element_name = format_kind(element)
+
+    if isinstance(kind, FixedArray):
+        n = kind.length
+
+        def enc_fixed(out, value):
+            if not isinstance(value, Seq):
+                raise _Mismatch(f"array of {n} elements", _describe(value))
+            if len(value._items) != n:
+                raise _Mismatch(f"array of {n} elements", f"{len(value._items)} elements")
+            if type(value._items) is bytes and not is_bytes:
+                raise _Mismatch(f"array of {element_name}", "byte sequence")
+            put(out, value)
+
+        return enc_fixed, lambda data, pos: get(data, pos, n)
+
+    length = struct.Struct(_scalar_fmt(encoding, PrimTag.U32))
+    per_element = _min_encoded_size(encoding, registry, element, frozenset())
+
+    def enc(out, value):
+        if not isinstance(value, Seq):
+            raise _Mismatch(f"sequence of {element_name}", _describe(value))
+        count = len(value._items)
+        if count > MAX_LENGTH:
+            raise _Mismatch(f"sequence of at most {MAX_LENGTH} elements", f"{count} elements")
+        if type(value._items) is bytes and not is_bytes:
+            raise _Mismatch(f"sequence of {element_name}", "byte sequence")
+        if count > MAX_ZERO_WIDTH and not per_element:
+            raise _Mismatch(f"at most {MAX_ZERO_WIDTH} zero-width elements", f"{count} elements")
+        out += length.pack(count)
+        put(out, value)
+
+    def dec(data, pos):
+        count = _read(length, data, pos)
+        pos += 4
         if count > MAX_LENGTH:
             raise PackError(f"sequence count {count} exceeds the {MAX_LENGTH} element maximum")
-        if not (isinstance(kind.element, Primitive) and kind.element.tag is PrimTag.U8):
+        if not is_bytes:
             # Reject hostile counts before allocating.  Byte sequences skip
             # this: their payload is count bytes plus padding, checked
-            # exactly in _decode_elements.  Zero-size elements (records with
-            # no fields) have their own cap.
-            per_element = _min_encoded_size(encoding, registry, kind.element, frozenset())
-            if per_element and count * per_element > buf.remaining:
-                raise Truncated(count * per_element, buf.remaining)
+            # exactly when it is read.  Zero-size elements (records with no
+            # fields) have their own cap.
+            if per_element and count * per_element > len(data) - pos:
+                raise Truncated(count * per_element, len(data) - pos)
             if not per_element and count > MAX_ZERO_WIDTH:
                 raise PackError(
                     f"sequence of {count} zero-width elements exceeds the {MAX_ZERO_WIDTH} maximum")
-        return _decode_elements(buf, registry, kind.element, count, fixed=False)
+        return get(data, pos, count)
 
-    if isinstance(kind, FixedArray):
-        return _decode_elements(buf, registry, kind.element, kind.length, fixed=True)
-
-    assert isinstance(kind, Named)
-    if registry is None or kind.type_name not in registry:
-        raise UnknownType(kind.type_name)
-    desc = registry.resolve(kind.type_name)
-    if isinstance(desc, RecordType):
-        fields = [_decode(buf, registry, f.kind) for f in desc.fields]
-        return Rec(desc.name, fields)
-    idx = _take_scalar(buf, _length_fmt(encoding))
-    if idx >= len(desc.arms):
-        raise MalformedVariantTag(idx)
-    arm = desc.arms[idx]
-    payload = None if arm.payload is None else _decode(buf, registry, arm.payload)
-    return Var(desc.name, arm.name, payload)
+    return enc, dec
 
 
-def _take_padded(buf: Buffer, n: int) -> bytes:
-    """Take an ``n``-byte payload and, when portable, its zero pad to four bytes."""
-    pad = _pad4(n) if buf.encoding is Encoding.PORTABLE else 0
-    if n + pad > buf.remaining:
-        raise Truncated(n + pad, buf.remaining)
-    payload = buf.take(n)
-    if pad:
-        buf.take(pad)
-    return payload
+def _elements(element: FieldKind, encoding: Encoding, registry: TypeRegistry, compiled: dict,
+              fixed: bool) -> tuple:
+    """Return ``put(out, seq)`` and ``get(data, pos, count)`` for the elements alone."""
+    portable = encoding is Encoding.PORTABLE
+    tag = element.tag if isinstance(element, Primitive) else None
+
+    if tag is PrimTag.U8 and not (portable and fixed):
+        # A byte payload, whether the Seq holds bytes or u8 values; portable
+        # seq<u8> pads it to four bytes.  A portable [u8; n] widens each byte
+        # like any other portable scalar, below.
+        def put_bytes(out, seq):
+            raw = seq._items if type(seq._items) is bytes else bytes(_numbers(tag, seq))
+            out += raw
+            if portable:
+                out += _ZERO_PAD[len(raw) % 4]
+
+        def get_bytes(data, pos, count):
+            taken = count + -count % 4 if portable else count
+            if taken > len(data) - pos:
+                raise Truncated(taken, len(data) - pos)
+            return Seq._wrap(bytes(data[pos:pos + count])), pos + taken
+
+        return put_bytes, get_bytes
+
+    if tag is not None and tag is not PrimTag.STRING:
+        order, code = _scalar_fmt(encoding, tag)
+        unit = struct.calcsize(order + code)
+        swap = order != _HOST
+
+        def put_numbers(out, seq):
+            items = seq._items
+            if type(items) is array and _ARRAY_TAG[items.typecode] is tag:
+                if swap:
+                    items = array(code, items)
+                    items.byteswap()
+                out += items
+                return
+            values = items if type(items) is bytes else _numbers(tag, seq)
+            if values:
+                out += struct.pack(f"{order}{len(values)}{code}", *values)
+
+        def get_numbers(data, pos, count):
+            size = unit * count
+            if size > len(data) - pos:
+                raise Truncated(size, len(data) - pos)
+            words = array(code)
+            words.frombytes(data[pos:pos + size])
+            if swap:
+                words.byteswap()
+            if tag is _BOOL or tag is _U8:  # words that are not their values
+                bad = [w for w in words if w > (1 if tag is _BOOL else 255)]
+                if bad:
+                    raise (MalformedBool if tag is _BOOL else MalformedByte)(bad[0])
+                words = ([Prim(tag, w == 1) for w in words] if tag is _BOOL
+                         else bytes(words.tolist()))
+            return Seq._wrap(words), pos + size
+
+        return put_numbers, get_numbers
+
+    enc, dec = _compile(element, encoding, registry, compiled)
+
+    def put_each(out, seq):
+        for i, item in enumerate(seq.elements()):
+            try:
+                enc(out, item)
+            except _Mismatch as exc:
+                exc.steps.append(f"[{i}]")
+                raise
+
+    def get_each(data, pos, count):
+        items = []
+        for _ in range(count):
+            item, pos = dec(data, pos)
+            items.append(item)
+        return Seq._wrap(items), pos
+
+    return put_each, get_each
 
 
-def _decode_elements(buf: Buffer, registry: Optional[TypeRegistry],
-                     element: FieldKind, count: int, fixed: bool) -> Seq:
-    encoding = buf.encoding
-    if isinstance(element, Primitive) and element.tag is PrimTag.U8:
-        if encoding is Encoding.NATIVE or not fixed:
-            return Seq(_take_padded(buf, count))
-        words = struct.unpack(f">{count}I", buf.take(4 * count))
-        bad = [w for w in words if w > 255]
-        if bad:
-            raise MalformedByte(bad[0])
-        return Seq(bytes(words))
-    if isinstance(element, Primitive) and element.tag is not PrimTag.STRING:
-        tag = element.tag
-        fmt = _scalar_fmt(encoding, tag)
-        unit = struct.calcsize(fmt)
-        bulk = f"{fmt[0]}{count}{fmt[1]}" if len(fmt) == 2 else f"{count}{fmt}"
-        values = struct.unpack(bulk, buf.take(unit * count)) if count else ()
-        if tag is PrimTag.BOOL:
-            bad = [v for v in values if v not in (0, 1)]
-            if bad:
-                raise MalformedBool(bad[0])
-            return Seq([Prim(tag, bool(v)) for v in values])
-        return Seq([Prim(tag, v) for v in values])
-    return Seq([_decode(buf, registry, element) for _ in range(count)])
+def _record_codec(desc: RecordType, encoding: Encoding, registry: TypeRegistry,
+                  compiled: dict) -> tuple:
+    name, count = desc.name, len(desc.fields)
+    steps = [f".{f.name}" for f in desc.fields]
+    codecs = [_compile(f.kind, encoding, registry, compiled) for f in desc.fields]
+
+    def enc(out, value):
+        if not isinstance(value, Rec) or value.type_name != name:
+            raise _Mismatch(f"record {name}", _describe(value))
+        if len(value.fields) != count:
+            raise _Mismatch(f"{count} fields for record {name}", f"{len(value.fields)} fields")
+        for step, (enc_field, _), field in zip(steps, codecs, value.fields):
+            try:
+                enc_field(out, field)
+            except _Mismatch as exc:
+                exc.steps.append(step)
+                raise
+
+    def dec(data, pos):
+        fields = []
+        for _, dec_field in codecs:
+            field, pos = dec_field(data, pos)
+            fields.append(field)
+        return Rec(name, fields), pos
+
+    return enc, dec
+
+
+def _variant_codec(desc: VariantType, encoding: Encoding, registry: TypeRegistry,
+                   compiled: dict) -> tuple:
+    name = desc.name
+    length = struct.Struct(_scalar_fmt(encoding, PrimTag.U32))
+    arms = [(arm.name, arm.payload and _compile(arm.payload, encoding, registry, compiled))
+            for arm in desc.arms]
+
+    def enc(out, value):
+        if not isinstance(value, Var) or value.type_name != name:
+            raise _Mismatch(f"variant {name}", _describe(value))
+        try:
+            index = desc.arm_index(value.arm)
+        except KeyError:
+            raise _Mismatch(f"an arm of variant {name}", value.arm) from None
+        arm_name, payload_codec = arms[index]
+        if payload_codec is None:
+            if value.payload is not None:
+                raise _Mismatch("no payload", _describe(value.payload), f".{arm_name}")
+        elif value.payload is None:
+            raise _Mismatch(format_kind(desc.arms[index].payload), "no payload", f".{arm_name}")
+        out += length.pack(index)
+        if payload_codec is not None:
+            try:
+                payload_codec[0](out, value.payload)
+            except _Mismatch as exc:
+                exc.steps.append(f".{arm_name}")
+                raise
+
+    def dec(data, pos):
+        index = _read(length, data, pos)
+        if index >= len(arms):
+            raise MalformedVariantTag(index)
+        arm_name, payload_codec = arms[index]
+        if payload_codec is None:
+            return Var(name, arm_name, None), pos + 4
+        payload, pos = payload_codec[1](data, pos + 4)
+        return Var(name, arm_name, payload), pos
+
+    return enc, dec
 
 
 # ---------------------------------------------------------------------------
@@ -631,15 +777,19 @@ def pack(buf: Buffer, value: DynValue, kind=None,
     leaves the buffer untouched, and so does a value nested too deeply to
     walk, which raises :class:`PackError`.
     """
-    start = len(buf._data)
+    out = buf._data
+    start = len(out)
     try:
-        k = _as_kind(kind) if kind is not None else infer_kind(value)
-        _encode(buf._data, buf.encoding, registry, k, value, "$")
+        enc, _ = _codec(kind if kind is not None else infer_kind(value), buf.encoding, registry)
+        enc(out, value)
+    except _Mismatch as exc:
+        del out[start:]
+        raise SchemaMismatch("$" + "".join(reversed(exc.steps)), exc.expected, exc.found) from None
     except RecursionError:
-        del buf._data[start:]
+        del out[start:]
         raise PackError("value is nested too deeply to encode") from None
     except BaseException:
-        del buf._data[start:]
+        del out[start:]
         raise
     return buf
 
@@ -648,12 +798,16 @@ def unpack(buf: Buffer, kind, registry: Optional[TypeRegistry] = None) -> DynVal
     """Decode one value of ``kind`` from the buffer, advancing the cursor.
 
     Malformed or hostile bytes raise a :class:`PackError` subclass; bytes
-    nested too deeply to walk raise :class:`PackError` itself.
+    nested too deeply to walk raise :class:`PackError` itself.  A failed
+    unpack leaves the cursor where it was.
     """
-    try:
-        return _decode(buf, registry, _as_kind(kind))
-    except RecursionError:
-        raise PackError("encoded value is nested too deeply to decode") from None
+    _, dec = _codec(kind, buf.encoding, registry)
+    with memoryview(buf._data) as data:
+        try:
+            value, buf._cursor = dec(data, buf._cursor)
+        except RecursionError:
+            raise PackError("encoded value is nested too deeply to decode") from None
+    return value
 
 
 def encode_value(value: DynValue, encoding: Encoding, kind=None,

@@ -6,6 +6,10 @@ packed arguments. The slave invokes the handler with the arguments in a
 MsgBuf; whatever the handler leaves in that buffer is shipped back as the
 reply. The reserved selector STOP tells a slave to leave its loop.
 
+A reply is a status byte, the request frame's SHA-256 digest (its receipt,
+which the master logs as the reply arrives) and a body. The answer to STOP
+and the reply to a frame too short for a selector carry no receipt.
+
 Both sides must register the same handler table. A digest of the selector
 names is exchanged at startup (broadcast from rank 0, acknowledgements
 gathered back) so that a mismatched table is caught before any request is
@@ -28,7 +32,8 @@ _SELECTOR = struct.Struct(">I")
 _REPLY_OK = 0
 _REPLY_HANDLER_ERROR = 1
 _REPLY_UNKNOWN_SELECTOR = 2
-_REPLY_RECEIPTS = 3
+_REPLY_STOPPED = 3
+_REPLY_SHORT_FRAME = 4
 
 _RECEIPT_SIZE = hashlib.sha256().digest_size
 
@@ -183,22 +188,21 @@ def slave_loop(sctx, table: HandlerTable) -> int:
     _exchange_digest(ctx, table)
 
     world = ctx.world
-    receipts = bytearray()
     handled = 0
     while True:
         _, _, payload = ctx.recv(world, source=0, tag=FARM_TAG)
         if len(payload) < _SELECTOR.size:
             ctx.send(world, 0, FARM_TAG,
-                     bytes([_REPLY_HANDLER_ERROR]) + b"short request frame")
+                     bytes([_REPLY_SHORT_FRAME]) + b"short request frame")
             continue
         (selector,) = _SELECTOR.unpack_from(payload)
         if selector == STOP:
             break
-        receipts += hashlib.sha256(payload).digest()
+        receipt = hashlib.sha256(payload).digest()
         if selector >= len(table):
             diag = f"unknown selector {selector}"
             ctx.send(world, 0, FARM_TAG,
-                     bytes([_REPLY_UNKNOWN_SELECTOR]) + diag.encode("utf-8"))
+                     bytes([_REPLY_UNKNOWN_SELECTOR]) + receipt + diag.encode("utf-8"))
             continue
         _, fn = table.lookup(selector)
         buf = MsgBuf(ctx)
@@ -208,11 +212,11 @@ def slave_loop(sctx, table: HandlerTable) -> int:
         except Exception as exc:
             diag = f"{type(exc).__name__}: {exc}"
             ctx.send(world, 0, FARM_TAG,
-                     bytes([_REPLY_HANDLER_ERROR]) + diag.encode("utf-8"))
+                     bytes([_REPLY_HANDLER_ERROR]) + receipt + diag.encode("utf-8"))
             continue
-        ctx.send(world, 0, FARM_TAG, bytes([_REPLY_OK]) + buf.data)
+        ctx.send(world, 0, FARM_TAG, bytes([_REPLY_OK]) + receipt + buf.data)
         handled += 1
-    ctx.send(world, 0, FARM_TAG, bytes([_REPLY_RECEIPTS]) + bytes(receipts))
+    ctx.send(world, 0, FARM_TAG, bytes([_REPLY_STOPPED]))
     return handled
 
 
@@ -222,7 +226,7 @@ class MasterPool:
     Tracks which slaves are idle, dispatches requests to the lowest idle
     rank, and collects replies in completion order. Use as a context
     manager so shutdown always runs: it drains outstanding replies, sends
-    STOP to every slave, and pulls back per-slave receipt logs.
+    STOP to every slave, and publishes the per-slave receipt logs it kept.
     """
 
     def __init__(self, sctx, table: HandlerTable) -> None:
@@ -234,7 +238,8 @@ class MasterPool:
         self._slaves = tuple(range(1, ctx.nprocs))
         self._idle = set(self._slaves)
         self._done = False
-        self.receipts: Dict[int, List[bytes]] = {}
+        self._receipts: Dict[int, List[bytes]] = {rank: [] for rank in self._slaves}
+        self.receipts: Dict[int, List[bytes]] = {}  # filled at shutdown
         bad = _exchange_digest(ctx, table)
         if bad:
             # stop the slaves that did agree, then report the rest
@@ -290,26 +295,33 @@ class MasterPool:
         """
         if self.outstanding == 0:
             raise NoOutstanding()
-        src, _, payload = self._ctx.recv(self._ctx.world, source=ANY, tag=FARM_TAG)
+        src, status, body = self._reply()
         self._idle.add(src)
-        status, body = payload[0], payload[1:]
         if status == _REPLY_OK:
             buf = MsgBuf(self._ctx)
             buf.load(body)
             return src, buf
         raise HandlerError(src, body.decode("utf-8", "replace"))
 
+    def _reply(self) -> Tuple[int, int, bytes]:
+        """Receive any reply and log its receipt. Returns (slave, status, body)."""
+        src, _, payload = self._ctx.recv(self._ctx.world, source=ANY, tag=FARM_TAG)
+        status = payload[0]
+        if status in (_REPLY_STOPPED, _REPLY_SHORT_FRAME):
+            return src, status, payload[1:]
+        self._receipts[src].append(payload[1:1 + _RECEIPT_SIZE])
+        return src, status, payload[1 + _RECEIPT_SIZE:]
+
     def _stop_ranks(self, ranks: Sequence[int]) -> None:
         stop = _SELECTOR.pack(STOP)
         for rank in ranks:
             self._ctx.send(self._ctx.world, rank, FARM_TAG, stop)
-        for _ in ranks:
-            src, _, payload = self._ctx.recv(self._ctx.world, source=ANY, tag=FARM_TAG)
-            if payload[:1] != bytes([_REPLY_RECEIPTS]):
-                continue
-            body = payload[1:]
-            self.receipts[src] = [body[i:i + _RECEIPT_SIZE]
-                                  for i in range(0, len(body), _RECEIPT_SIZE)]
+        running = set(ranks)
+        while running:  # late replies still log their receipts
+            src, status, _ = self._reply()
+            if status == _REPLY_STOPPED:
+                running.discard(src)
+        self.receipts = self._receipts
 
     def shutdown(self) -> None:
         """Drain outstanding replies, stop every slave, collect receipts.

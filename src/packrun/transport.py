@@ -23,6 +23,7 @@ calls one or both.
 
 from __future__ import annotations
 
+import operator
 import os
 import struct
 import threading
@@ -190,14 +191,23 @@ class Communicator:
         return local
 
 
-def _check_tag(tag) -> None:
-    if not (isinstance(tag, int) and 0 <= tag < 2**32):
-        raise TransportError(f"tag {tag} does not fit in u32")
+# Tags and ranks may be any integer (numpy's too); the checked int is what gets posted.
+def _check_tag(tag) -> int:
+    try:
+        if 0 <= operator.index(tag) < 2**32:
+            return operator.index(tag)
+    except TypeError:
+        pass
+    raise TransportError(f"tag {tag} does not fit in u32")
 
 
-def _check_rank(comm: Communicator, rank, error=InvalidRank) -> None:
-    if not (isinstance(rank, int) and 0 <= rank < comm.size):
-        raise error(rank)
+def _check_rank(comm: Communicator, rank, error=InvalidRank) -> int:
+    try:
+        if 0 <= operator.index(rank) < comm.size:
+            return operator.index(rank)
+    except TypeError:
+        pass
+    raise error(rank)
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +325,14 @@ class TransportContext:
         if self._finalized:
             raise Finalized()
 
-    def _begin_collective(self, comm: Communicator, root: int = 0) -> int:
-        """Check the context and the root; return the collective's sequence number."""
+    def _begin_collective(self, comm: Communicator, root: int = 0) -> tuple[int, int]:
+        """Check the context and the root; return the root and the collective's sequence number."""
         self._check_open()
-        _check_rank(comm, root, InvalidRoot)
+        root = _check_rank(comm, root, InvalidRoot)
         with self._lock:
             seq = (self._coll_seq.get(comm.comm_id, 0) + 1) & 0xFFFFFFFF
             self._coll_seq[comm.comm_id] = seq
-            return seq
+            return root, seq
 
     def _fan_in(self, comm: Communicator, root: int, seq: int, opcode: int,
                 body: bytes) -> Optional[list[bytes]]:
@@ -359,10 +369,10 @@ class TransportContext:
 
     def send(self, comm: Communicator, dest: int, tag: int, payload: bytes) -> None:
         self._check_open()
-        _check_rank(comm, dest)
+        dest = _check_rank(comm, dest)
         if dest == comm.local_rank:
             raise SelfSend()
-        _check_tag(tag)
+        tag = _check_tag(tag)
         payload = bytes(payload)
         if len(payload) > MAX_PAYLOAD:
             raise TransportError(f"payload of {len(payload)} bytes exceeds the {MAX_PAYLOAD} maximum")
@@ -372,9 +382,9 @@ class TransportContext:
              timeout: Optional[float] = None) -> tuple[int, int, bytes]:
         self._check_open()
         if source is not ANY:
-            _check_rank(comm, source)
+            source = _check_rank(comm, source)
         if tag is not ANY:
-            _check_tag(tag)
+            tag = _check_tag(tag)
         env = self._mailbox.take(KIND_DATA, comm.comm_id,
                                  None if source is ANY else comm.members[source],
                                  None if tag is ANY else tag, timeout)
@@ -383,23 +393,23 @@ class TransportContext:
     # -- collectives
 
     def barrier(self, comm: Communicator) -> None:
-        seq = self._begin_collective(comm)
+        _, seq = self._begin_collective(comm)
         self._fan_in(comm, 0, seq, _OP_BARRIER_ENTER, b"")
         self._fan_out(comm, 0, seq, _OP_BARRIER_RELEASE, [b""] * comm.size)
 
     def broadcast(self, comm: Communicator, root: int, payload: Optional[bytes] = None) -> bytes:
-        seq = self._begin_collective(comm, root)
+        root, seq = self._begin_collective(comm, root)
         if comm.local_rank == root:
             payload = bytes(payload if payload is not None else b"")
         return self._fan_out(comm, root, seq, _OP_BCAST, [payload] * comm.size)
 
     def gather(self, comm: Communicator, root: int, payload: bytes) -> Optional[list[bytes]]:
-        seq = self._begin_collective(comm, root)
+        root, seq = self._begin_collective(comm, root)
         return self._fan_in(comm, root, seq, _OP_GATHER, bytes(payload))
 
     def scatter(self, comm: Communicator, root: int,
                 segments: Optional[list[bytes]] = None) -> bytes:
-        seq = self._begin_collective(comm, root)
+        root, seq = self._begin_collective(comm, root)
         if comm.local_rank == root:
             segments = [bytes(s) for s in (segments or [])]
             if len(segments) != comm.size:
@@ -414,9 +424,7 @@ class TransportContext:
         communicator, everyone else gets NOT_MEMBER.
         """
         self._check_open()
-        requested = list(members)
-        for m in requested:
-            _check_rank(parent, m)
+        requested = [_check_rank(parent, m) for m in members]
         subset = sorted(set(requested))
         if not subset:
             raise EmptySubset()
@@ -424,7 +432,7 @@ class TransportContext:
             raise InvalidRank(next(m for m in requested if requested.count(m) > 1))
         world_members = tuple(sorted(parent.members[m] for m in subset))
         proposal = struct.pack(f">{len(world_members)}I", *world_members)
-        seq = self._begin_collective(parent)
+        _, seq = self._begin_collective(parent)
         proposals = self._fan_in(parent, 0, seq, _OP_COMM_PROPOSAL, proposal)
         result = b"\x00"  # local rank 0 decides for everyone
         if proposals is not None and all(p == proposal for p in proposals):

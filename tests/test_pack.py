@@ -4,12 +4,15 @@ import math
 import random
 import struct
 import sys
+import threading
 import time
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from packrun.idl import FixedArray, Named, Primitive, PrimTag, RecordType, Sequence, TypeRegistry
+from packrun.idl import (
+    FieldDescriptor, FixedArray, Named, Primitive, PrimTag, RecordType, Sequence, TypeRegistry)
 from packrun.pack import (
     MAX_ZERO_WIDTH,
     Buffer,
@@ -554,3 +557,145 @@ def test_property_arbitrary_bytes_raise_only_pack_errors(encoding, value, data):
         decode_value(payload, encoding, kind, _ALL_KINDS)
     except PackError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# Compiled codecs and the array form of numeric sequences
+
+_ARRAY_CASES = {
+    PrimTag.I32: ("i", [0, -2**31, 2**31 - 1, 7]),
+    PrimTag.U32: ("I", [0, 2**32 - 1, 9, 1]),
+    PrimTag.I64: ("q", [-2**63, 2**63 - 1, 0, -5]),
+    PrimTag.U64: ("Q", [2**64 - 1, 0, 3, 2**40]),
+    PrimTag.F32: ("f", [1.5, -0.0, math.inf, -2.0**-126]),
+    PrimTag.F64: ("d", [0.1, -1e300, math.inf, 5e-324]),
+}
+
+
+@pytest.mark.parametrize("encoding", [Encoding.PORTABLE, Encoding.NATIVE])
+@pytest.mark.parametrize("container", ["seq<{}>", "[{}; 4]"])
+@pytest.mark.parametrize("tag", list(_ARRAY_CASES), ids=lambda t: t.value)
+def test_array_form_round_trips_like_the_list_form(tag, container, encoding):
+    code, numbers = _ARRAY_CASES[tag]
+    kind = container.format(tag.value)
+    as_list = Seq([Prim(tag, v) for v in numbers])
+    as_array = Seq(array(code, numbers))
+    encoded = encode_value(as_list, encoding, kind)
+    assert encode_value(as_array, encoding, kind) == encoded
+    decoded = decode_value(encoded, encoding, kind)
+    assert decoded.array is not None and decoded.array.typecode == code
+    assert decoded.array.tolist() == numbers
+    assert decoded == as_list and as_list == decoded and decoded == as_array
+    assert decoded.raw is None and as_list.array is None
+    assert list(decoded.elements()) == list(as_list.elements())
+
+
+def test_array_and_list_forms_compare_element_by_element():
+    f64 = Seq(array("d", [1.0, 2.5]))
+    assert f64 == Seq([Prim(PrimTag.F64, 1.0), Prim(PrimTag.F64, 2.5)])
+    assert Seq([Prim(PrimTag.F64, 1), Prim(PrimTag.F64, 2.5)]) == f64  # 1 == 1.0, as for Prim
+    assert f64 != Seq([Prim(PrimTag.F32, 1.0), Prim(PrimTag.F32, 2.5)])  # tag first
+    assert f64 != Seq([Prim(PrimTag.F64, 1.0), Prim(PrimTag.F64, 2.0)])
+    assert f64 != Seq([Prim(PrimTag.F64, 1.0), Str("2.5")])
+    assert f64 != Seq(array("f", [1.0, 2.5])) and f64 != Seq(array("d", [1.0]))
+    assert Seq(array("i", [1, 2])) != Seq(array("I", [1, 2]))
+    assert Seq(array("I", [1, 2])) != Seq(b"\x01\x02")
+    nan = Seq(array("d", [math.nan]))
+    assert nan != Seq([Prim(PrimTag.F64, math.nan)]) and nan != Seq(array("d", [math.nan]))
+    empties = [Seq([]), Seq(b""), Seq(array("d")), Seq(array("q"))]
+    assert all(a == b for a in empties for b in empties)
+
+
+def test_array_form_is_copied_and_typed():
+    source = array("q", [1, 2, 3])
+    seq = Seq(source)
+    source[0] = 99
+    assert seq.array.tolist() == [1, 2, 3] and seq.array is not source
+    assert infer_kind(Seq(array("f"))) == Sequence(Primitive(PrimTag.F32))
+    assert infer_kind(Seq(array("Q", [1]))) == Sequence(Primitive(PrimTag.U64))
+    # a typecode with no fixed-width tag stays a list of its numbers
+    assert Seq(array("h", [1, 2])).array is None
+    assert list(Seq(array("h", [1, 2])).elements()) == [1, 2]
+
+
+@pytest.mark.parametrize("encoding", [Encoding.PORTABLE, Encoding.NATIVE])
+@pytest.mark.parametrize("numbers,kind", [
+    (array("d", [1.0, 2.0]), "seq<i32>"),
+    (array("i", [1, 2]), "[u32; 2]"),
+    (array("q", [1]), "seq<u8>"),
+    (array("f", [0.5]), "[bool; 1]"),
+    (array("I", [3]), "seq<string>"),
+    (array("Q", [3]), "seq<seq<u64>>"),
+    (array("d", [1.0]), "box"),
+])
+def test_array_under_another_tag_fails_like_the_equivalent_list(numbers, kind, encoding):
+    registry = TypeRegistry.from_idl("record box { x: seq<f32>; }")
+    value = Seq(numbers)
+    listed = Seq(list(value.elements()))
+    if kind == "box":
+        value, listed = Rec("box", [value]), Rec("box", [listed])
+    failures = []
+    for v in (value, listed):
+        buf = pack(Buffer(encoding), Prim(PrimTag.U8, 1))
+        with pytest.raises(SchemaMismatch) as err:
+            pack(buf, v, kind, registry)
+        assert buf.data == pack(Buffer(encoding), Prim(PrimTag.U8, 1)).data
+        failures.append((str(err.value), err.value.path))
+    assert failures[0] == failures[1]
+
+
+def test_type_registered_after_a_first_compile_is_used():
+    registry = TypeRegistry.from_idl("record holder { items: seq<pt>; }")
+    empty = Rec("holder", [Seq([])])
+    one = Rec("holder", [Seq([Rec("pt", [Prim(PrimTag.I32, 4)])])])
+    encoded = encode_value(empty, Encoding.PORTABLE, "holder", registry)
+    with pytest.raises(UnknownType):
+        encode_value(one, Encoding.PORTABLE, "holder", registry)
+    with pytest.raises(UnknownType):
+        decode_value(encoded[:-4] + struct.pack(">I", 1), Encoding.PORTABLE, "holder", registry)
+    registry.register(RecordType("pt", (FieldDescriptor("v", Primitive(PrimTag.I32)),)))
+    assert decode_value(encode_value(one, Encoding.PORTABLE, "holder", registry),
+                        Encoding.PORTABLE, "holder", registry) == one
+
+
+def test_threads_first_using_a_recursive_registry_together_agree():
+    value = Var("sh", "many", Seq([Var("sh", "dot"), _nested_shape(4)]))
+    expected = encode_value(value, Encoding.PORTABLE, "sh", _SHAPE)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            registry = TypeRegistry.from_idl("variant sh { dot; many(seq<sh>); }")
+            start = threading.Barrier(8)
+            results = []
+
+            def use():
+                start.wait()
+                encoded = encode_value(value, Encoding.PORTABLE, "sh", registry)
+                results.append((encoded, decode_value(encoded, Encoding.PORTABLE, "sh", registry)))
+
+            threads = [threading.Thread(target=use) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [(expected, value)] * 8
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("payload,kind", [
+    (b"\x00\x00\x00\x02" + b"\x00" * 8, "seq<f64>"),   # needs 16 bytes
+    (b"\x00\x00\x00\x01" + b"\x00\x00\x00\x05", "sh"),  # variant tag 5
+    (b"\x00\x00\x00\x02", "[bool; 1]"),                # bool 2
+    (b"\x00\x00\x00\x03abc", "string"),                # pad missing
+])
+def test_failed_unpack_leaves_the_cursor_where_it_was(payload, kind):
+    buf = pack(Buffer(Encoding.PORTABLE), Prim(PrimTag.I32, 9))
+    buf.append(payload)
+    assert unpack(buf, "i32").value == 9
+    with pytest.raises(PackError):
+        unpack(buf, kind, _SHAPE)
+    assert buf.read_cursor == 4
+    pack(buf, Prim(PrimTag.U8, 1))  # the buffer is not left locked by the failed read

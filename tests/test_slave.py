@@ -405,3 +405,62 @@ def test_randomized_joblist_matches_serial_oracle():
                 return [r.take_i64() for r in replies]
 
         assert farm(rng.randrange(2, 6), master)[0] == serial(inputs)
+
+
+def test_every_reply_to_a_recorded_request_carries_its_receipt():
+    # The slave side of the wire: status byte, the request's digest, then the body.
+    world, (c0, c1) = make_world(2)
+    table = add_table()
+
+    def master(ctx):
+        ctx.broadcast(ctx.world, 0, table.digest())
+        ctx.gather(ctx.world, 0, b"\x01")
+        frames = [request_frame(0, MsgBuf(ctx).put_i32(2).put_i32(3).data),
+                  request_frame(2, MsgBuf(ctx).put_i32(-1).data),
+                  request_frame(99),
+                  b"\x00\x01"]
+        replies = []
+        for frame in frames + [request_frame(STOP)]:
+            ctx.send(ctx.world, 1, FARM_TAG, frame)
+            replies.append(ctx.recv(ctx.world, source=1, tag=FARM_TAG)[2])
+        return frames, replies
+
+    frames, replies = run_ranks([c0, c1], lambda ctx: master(ctx) if ctx.rank == 0
+                                else slave_loop(ctx, table))[0]
+    for frame, reply in zip(frames[:3], replies):
+        assert reply[1:33] == hashlib.sha256(frame).digest()
+    assert replies[0][0] == 0 and MsgBuf(c0).load(replies[0][33:]).take_i32() == 5
+    assert replies[1][0] == 1 and b"bad input -1" in replies[1][33:]
+    assert replies[2][0] == 2 and replies[2][33:] == b"unknown selector 99"
+    # a short frame has its own status and no receipt; STOP's answer holds nothing
+    assert replies[3][0] not in (0, 1, 2, replies[4][0])
+    assert replies[3][1:] == b"short request frame"
+    assert len(replies[4]) == 1
+
+
+def test_short_frame_reply_is_a_handler_error_without_a_receipt():
+    def master(ctx, table):
+        with MasterPool(ctx, table) as pool:
+            ctx.send(ctx.world, 1, FARM_TAG, b"\x01")  # bypasses exec's own check
+            pool._idle.discard(1)
+            with pytest.raises(HandlerError) as info:
+                pool.get_returnv()
+            assert info.value.diagnostic == "short request frame"
+        return pool.receipts
+
+    assert farm(2, master)[0] == {1: []}
+
+
+def test_late_reply_at_shutdown_keeps_its_receipt_and_every_slave_is_stopped():
+    # A reply the pool did not wait for reaches shutdown ahead of the slave's
+    # STOP answer; its receipt is kept, and every slave still gets an entry.
+    def master(ctx, table):
+        frame = request_frame(table.selector("add"), MsgBuf(ctx).put_i32(1).put_i32(2).data)
+        with MasterPool(ctx, table) as pool:
+            ctx.send(ctx.world, 1, FARM_TAG, frame)
+        return pool.receipts, hashlib.sha256(frame).digest()
+
+    results = farm(3, master)
+    receipts, digest = results[0]
+    assert receipts == {1: [digest], 2: []}
+    assert results[1:] == [1, 0]

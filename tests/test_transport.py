@@ -145,6 +145,36 @@ def test_rank_that_is_not_a_member_index_is_rejected_everywhere(rank):
             collective(c0.world, rank, b"")
 
 
+class _Index:
+    """An integer-like value that is not an int, as numpy's integers are."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("name", ["__index__", "int64", "uint32"])
+def test_integer_like_tags_and_ranks_are_accepted_and_posted_as_int(name):
+    make = _Index if name == "__index__" else getattr(pytest.importorskip("numpy"), name)
+    _, (c0, c1) = make_world(2)
+    c0.send(c0.world, make(1), make(7), b"tagged")
+    src, tag, payload = c1.recv(c1.world, source=make(0), tag=make(7), timeout=1)
+    assert (src, tag, payload) == (0, 7, b"tagged")
+    assert type(tag) is int
+
+    def collectives(ctx):
+        root = make(1)
+        child = ctx.comm_create(ctx.world, [make(0), make(1)])
+        return (ctx.broadcast(ctx.world, root, b"b" if ctx.rank == 1 else None),
+                ctx.gather(child, root, bytes([ctx.rank])),
+                ctx.scatter(ctx.world, root, [b"s0", b"s1"] if ctx.rank == 1 else None))
+
+    assert run_ranks([c0, c1], collectives) == [(b"b", None, b"s0"),
+                                                (b"b", [b"\x00", b"\x01"], b"s1")]
+
+
 def test_tag_filter_skips_and_keeps_nonmatching():
     _, (c0, c1) = make_world(2)
     c0.send(c0.world, 1, 3, b"tag3")
