@@ -212,9 +212,9 @@ def _tokenize(source: str) -> list[_Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only, like identifiers
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and "0" <= source[j] <= "9":
                 j += 1
             tokens.append(_Token("int", source[i:j], line, col))
             col += j - i

@@ -1,7 +1,7 @@
 """Start N ranks of a program and collect their exit codes.
 
 Two backends share one entry point. The process backend spawns one child
-interpreter per rank, points them at an in-launcher rendezvous coordinator
+interpreter per rank, points them at the rendezvous coordinator it then runs
 via PACKRUN_* environment variables, and waits for all of them; on a
 rendezvous failure every child is killed so no orphans survive. The thread
 backend runs every rank inside this process: each rank gets its own
@@ -14,14 +14,15 @@ import runpy
 import subprocess
 import sys
 import threading
+import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._slots import Slot, install_slot
 from .mesh import Coordinator
-from .transport import (ENV_COORD, ENV_HETERO, ENV_NPROCS, ENV_RANK, BackendKind,
-                        InProcessWorld, RendezvousTimeout)
+from .transport import (ENV_COORD, ENV_HETERO, ENV_NPROCS, ENV_RANK, ENV_TIMEOUT,
+                        BackendKind, InProcessWorld)
 
 
 class LaunchError(Exception):
@@ -39,9 +40,10 @@ class SpawnFailure(LaunchError):
 class LaunchPlan:
     """Everything needed to start one multi-rank run.
 
-    run_timeout bounds the program itself (None = wait forever); the
-    rendezvous window is bounded separately by timeout.  per_rank_env is
-    added to each rank's environment on the process backend only; thread
+    run_timeout is one deadline for all ranks together, from the end of the
+    rendezvous or the start of thread ranks (None = wait forever); timeout
+    bounds the rendezvous, in the launcher and in every rank.  per_rank_env
+    is added to each rank's environment on the process backend only; thread
     ranks share this process's environment.
     """
 
@@ -62,6 +64,8 @@ class LaunchPlan:
 
 def launch(plan: LaunchPlan) -> List[int]:
     """Run the plan; returns one exit code per rank, in rank order."""
+    if not os.path.isfile(plan.program):
+        raise SpawnFailure(0, f"program not found: {plan.program}")
     if plan.backend is BackendKind.IN_PROCESS:
         return _launch_threads(plan)
     return _launch_processes(plan)
@@ -77,11 +81,20 @@ def _child_env(plan: LaunchPlan, rank: int, coord_address: str) -> Dict[str, str
     env[ENV_RANK] = str(rank)
     env[ENV_NPROCS] = str(plan.nprocs)
     env[ENV_COORD] = coord_address
+    env[ENV_TIMEOUT] = str(plan.timeout)
     if plan.hetero:
         env[ENV_HETERO] = "1"
     else:
         env.pop(ENV_HETERO, None)
     return env
+
+
+def _deadline(run_timeout: Optional[float]) -> Optional[float]:
+    return None if run_timeout is None else time.monotonic() + run_timeout
+
+
+def _left(deadline: Optional[float]) -> Optional[float]:
+    return None if deadline is None else max(0.0, deadline - time.monotonic())
 
 
 def _kill_all(procs: Sequence[subprocess.Popen]) -> None:
@@ -96,41 +109,24 @@ def _kill_all(procs: Sequence[subprocess.Popen]) -> None:
 
 
 def _launch_processes(plan: LaunchPlan) -> List[int]:
-    if not os.path.isfile(plan.program):
-        raise SpawnFailure(0, f"program not found: {plan.program}")
-
     coordinator = Coordinator(plan.nprocs, timeout=plan.timeout)
-    coord_error: List[BaseException] = []
-
-    def serve() -> None:
-        try:
-            coordinator.run()
-        except BaseException as exc:
-            coord_error.append(exc)
-
-    coord_thread = threading.Thread(target=serve, name="coordinator", daemon=True)
-    coord_thread.start()
-
-    address = coordinator.address
+    argv = [sys.executable, plan.program, *plan.args]
     procs: List[subprocess.Popen] = []
     try:
         for rank in range(plan.nprocs):
-            argv = [sys.executable, plan.program, *plan.args]
+            env = _child_env(plan, rank, coordinator.address)
             try:
-                procs.append(subprocess.Popen(argv, env=_child_env(plan, rank, address)))
+                procs.append(subprocess.Popen(argv, env=env))
             except OSError as exc:
                 raise SpawnFailure(rank, str(exc)) from exc
 
-        coord_thread.join(plan.timeout + 5.0)
-        if coord_error:
-            raise coord_error[0]
-        if coord_thread.is_alive():
-            raise RendezvousTimeout(plan.timeout)
+        coordinator.run()  # children that dial early wait in its listener's backlog
 
+        deadline = _deadline(plan.run_timeout)
         codes = []
         for rank, proc in enumerate(procs):
             try:
-                codes.append(proc.wait(timeout=plan.run_timeout))
+                codes.append(proc.wait(timeout=_left(deadline)))
             except subprocess.TimeoutExpired:
                 raise LaunchError(
                     f"rank {rank} still running after {plan.run_timeout} s") from None
@@ -147,13 +143,12 @@ def _launch_processes(plan: LaunchPlan) -> List[int]:
 class _RankRunner(threading.Thread):
     """One rank of the thread backend: private slot, staged transport."""
 
-    def __init__(self, rank: int, ctx, program: str, argv: List[str]) -> None:
+    def __init__(self, rank: int, ctx, program: str) -> None:
         super().__init__(name=f"packrun-rank{rank}", daemon=True)
         self.rank = rank
         self.exit_code = 0
         self._ctx = ctx
         self._program = program
-        self._argv = argv
 
     def run(self) -> None:
         slot = Slot()
@@ -163,11 +158,9 @@ class _RankRunner(threading.Thread):
             runpy.run_path(self._program, run_name="__main__")
         except SystemExit as exc:
             code = exc.code
-            if code is None:
-                self.exit_code = 0
-            elif isinstance(code, int):
+            if isinstance(code, int):
                 self.exit_code = code
-            else:
+            elif code is not None:
                 print(code, file=sys.stderr)
                 self.exit_code = 1
         except BaseException:
@@ -180,12 +173,9 @@ class _RankRunner(threading.Thread):
 
 
 def _launch_threads(plan: LaunchPlan) -> List[int]:
-    if not os.path.isfile(plan.program):
-        raise SpawnFailure(0, f"program not found: {plan.program}")
-
     world = InProcessWorld(plan.nprocs, hetero=plan.hetero)
     argv = [plan.program, *plan.args]
-    runners = [_RankRunner(rank, world.attach(rank), plan.program, argv)
+    runners = [_RankRunner(rank, world.attach(rank), plan.program)
                for rank in range(plan.nprocs)]
 
     saved_argv = sys.argv
@@ -193,12 +183,12 @@ def _launch_threads(plan: LaunchPlan) -> List[int]:
     try:
         for runner in runners:
             runner.start()
+        deadline = _deadline(plan.run_timeout)
         for runner in runners:
-            runner.join(plan.run_timeout)
+            runner.join(_left(deadline))
         stuck = [r.rank for r in runners if r.is_alive()]
         if stuck:
-            raise LaunchError(
-                f"rank(s) {stuck} still running after {plan.run_timeout} s")
+            raise LaunchError(f"rank(s) {stuck} still running after {plan.run_timeout} s")
     finally:
         sys.argv = saved_argv
     return [runner.exit_code for runner in runners]

@@ -15,9 +15,9 @@ reads them back.  Two encodings exist:
   string for a value is a pure function of descriptor and value, identical on
   every host.
 
-Each kind is compiled once per encoding into a pair of closures, cached per
-:class:`TypeRegistry` under the kind as given, so a kind string is parsed
-once (``register`` empties the cache).  The encoder checks each node and
+Each kind is compiled once per encoding into a pair of closures and its
+fewest encoded bytes, cached per :class:`TypeRegistry` under the kind as
+given (``register`` empties the cache).  The encoder checks each node and
 appends its bytes; the decoder reads at an offset with precompiled structs.
 A path such as ``$.samples[3].weight`` is spelled out only for a failure.
 
@@ -351,10 +351,8 @@ def infer_kind(value: DynValue) -> FieldKind:
 
 
 def _f32_exact(v: float) -> bool:
-    if math.isnan(v):
-        return True
     try:
-        return struct.unpack("<f", struct.pack("<f", v))[0] == v
+        return math.isnan(v) or struct.unpack("<f", struct.pack("<f", v))[0] == v
     except (OverflowError, struct.error):
         return False
 
@@ -418,43 +416,17 @@ def _numbers(tag: PrimTag, seq: Seq) -> list:
     return values
 
 
-def _min_encoded_size(encoding: Encoding, registry: TypeRegistry,
-                      kind: FieldKind, seen: frozenset) -> int:
-    """Lower bound on the encoded size of any value of ``kind``.
-
-    Used to reject hostile length prefixes before allocating: a claimed
-    element count whose minimum footprint exceeds the remaining bytes can
-    never decode.  Recursion bottoms out at sequences, whose minimum is an
-    empty one.
-    """
-    if isinstance(kind, Primitive):
-        return 4 if kind.tag is PrimTag.STRING else struct.calcsize(_scalar_fmt(encoding, kind.tag))
-    if isinstance(kind, Sequence):
-        return 4
-    if isinstance(kind, FixedArray):
-        return kind.length * _min_encoded_size(encoding, registry, kind.element, seen)
-    assert isinstance(kind, Named)
-    if kind.type_name in seen or kind.type_name not in registry:
-        return 0
-    seen = seen | {kind.type_name}
-    desc = registry.resolve(kind.type_name)
-    if isinstance(desc, RecordType):
-        return sum(_min_encoded_size(encoding, registry, f.kind, seen) for f in desc.fields)
-    sizes = [0 if a.payload is None else _min_encoded_size(encoding, registry, a.payload, seen)
-             for a in desc.arms]
-    return 4 + min(sizes)
-
-
 # ---------------------------------------------------------------------------
 # Codecs: ``enc(out, value)`` checks a value and appends its bytes to ``out``
-# (``pack`` cuts them off on failure); ``dec(data, pos)`` returns (value, end).
+# (``pack`` cuts them off on failure); ``dec(data, pos)`` returns (value, end);
+# ``size`` is the fewest bytes any value of the kind encodes to.
 
 _NO_TYPES = TypeRegistry()  # stands in for a missing registry: every name is unknown
 _CACHE_LIMIT = 4096  # kinds compiled per registry before its cache starts over
 
 
 def _codec(kind, encoding: Encoding, registry: Optional[TypeRegistry]) -> tuple:
-    """Return the encode and decode closures of ``kind``, compiling them on first use.
+    """Return the ``(enc, dec, size)`` codec of ``kind``, compiling it on first use.
 
     A compile publishes its named types only once they are complete, so
     threads sharing the registry never see half a codec.
@@ -463,9 +435,11 @@ def _codec(kind, encoding: Encoding, registry: Optional[TypeRegistry]) -> tuple:
     key = (kind, encoding is _PORTABLE)
     codec = registry._codecs.get(key)
     if codec is None:
-        compiled: dict = {}
+        compiled, pending = {}, []
         codec = _compile(parse_kind(kind) if isinstance(kind, str) else kind,
-                         encoding, registry, compiled)
+                         encoding, registry, compiled, pending)
+        while pending:  # seq elements last, so no element size counts a half-built type as 0
+            pending.pop()()
         if len(registry._codecs) > _CACHE_LIMIT:
             registry._codecs.clear()
         registry._codecs.update(compiled)
@@ -480,13 +454,14 @@ def _read(st: struct.Struct, data: memoryview, pos: int):
         raise Truncated(st.size, len(data) - pos) from None
 
 
-def _compile(kind: FieldKind, encoding: Encoding, registry: TypeRegistry, compiled: dict) -> tuple:
+def _compile(kind: FieldKind, encoding: Encoding, registry: TypeRegistry, compiled: dict,
+             pending: list) -> tuple:
     if isinstance(kind, Primitive):
         if kind.tag is PrimTag.STRING:
             return _string_codec(encoding)
         return _scalar_codec(kind.tag, encoding)
     if isinstance(kind, (Sequence, FixedArray)):
-        return _array_codec(kind, encoding, registry, compiled)
+        return _array_codec(kind, encoding, registry, compiled, pending)
     assert isinstance(kind, Named)
     name = kind.type_name
     key = (name, encoding is Encoding.PORTABLE)
@@ -496,13 +471,14 @@ def _compile(kind: FieldKind, encoding: Encoding, registry: TypeRegistry, compil
     if name not in registry:  # raises only when a value reaches it
         def unknown(*_):
             raise UnknownType(name)
-        return unknown, unknown
-    # references to this type from inside its own body go through cell
+        return unknown, unknown, 0
+    # reached again from its own body, bypassing seq (validate() rejects that): 0 bytes
     cell: list = []
-    compiled[key] = (lambda out, value: cell[0](out, value), lambda data, pos: cell[1](data, pos))
+    compiled[key] = (lambda out, value: cell[0](out, value),
+                     lambda data, pos: cell[1](data, pos), 0)
     desc = registry.resolve(name)
     make = _record_codec if isinstance(desc, RecordType) else _variant_codec
-    cell.extend(make(desc, encoding, registry, compiled))
+    cell.extend(make(desc, encoding, registry, compiled, pending))
     compiled[key] = codec = tuple(cell)
     return codec
 
@@ -524,7 +500,7 @@ def _scalar_codec(tag: PrimTag, encoding: Encoding) -> tuple:
             raise MalformedByte(v)
         return Prim(tag, v), pos + size
 
-    return enc, dec
+    return enc, dec, size
 
 
 def _string_codec(encoding: Encoding) -> tuple:
@@ -556,18 +532,19 @@ def _string_codec(encoding: Encoding) -> tuple:
         except UnicodeDecodeError as exc:
             raise MalformedString(str(exc)) from None
 
-    return enc, dec
+    return enc, dec, 4
 
 
-def _array_codec(kind, encoding: Encoding, registry: TypeRegistry, compiled: dict) -> tuple:
+def _array_codec(kind, encoding: Encoding, registry: TypeRegistry, compiled: dict,
+                 pending: list) -> tuple:
     """Codec of a ``seq<T>`` or ``[T; n]``: the container's checks around ``_elements``."""
     element = kind.element
-    put, get = _elements(element, encoding, registry, compiled, isinstance(kind, FixedArray))
     is_bytes = element == Primitive(PrimTag.U8)
     element_name = format_kind(element)
 
     if isinstance(kind, FixedArray):
         n = kind.length
+        put, get, size = _elements(element, encoding, registry, compiled, pending, True)
 
         def enc_fixed(out, value):
             if not isinstance(value, Seq):
@@ -578,10 +555,16 @@ def _array_codec(kind, encoding: Encoding, registry: TypeRegistry, compiled: dic
                 raise _Mismatch(f"array of {element_name}", "byte sequence")
             put(out, value)
 
-        return enc_fixed, lambda data, pos: get(data, pos, n)
+        return enc_fixed, lambda data, pos: get(data, pos, n), n * size
 
     length = struct.Struct(_scalar_fmt(encoding, PrimTag.U32))
-    per_element = _min_encoded_size(encoding, registry, element, frozenset())
+    put = get = per_element = None  # set by finish, which _codec runs last
+
+    def finish():
+        nonlocal put, get, per_element
+        put, get, per_element = _elements(element, encoding, registry, compiled, pending, False)
+
+    pending.append(finish)
 
     def enc(out, value):
         if not isinstance(value, Seq):
@@ -602,10 +585,8 @@ def _array_codec(kind, encoding: Encoding, registry: TypeRegistry, compiled: dic
         if count > MAX_LENGTH:
             raise PackError(f"sequence count {count} exceeds the {MAX_LENGTH} element maximum")
         if not is_bytes:
-            # Reject hostile counts before allocating.  Byte sequences skip
-            # this: their payload is count bytes plus padding, checked
-            # exactly when it is read.  Zero-size elements (records with no
-            # fields) have their own cap.
+            # Reject hostile counts before allocating (a byte payload is
+            # checked exactly when read); zero-width elements have a cap.
             if per_element and count * per_element > len(data) - pos:
                 raise Truncated(count * per_element, len(data) - pos)
             if not per_element and count > MAX_ZERO_WIDTH:
@@ -613,19 +594,18 @@ def _array_codec(kind, encoding: Encoding, registry: TypeRegistry, compiled: dic
                     f"sequence of {count} zero-width elements exceeds the {MAX_ZERO_WIDTH} maximum")
         return get(data, pos, count)
 
-    return enc, dec
+    return enc, dec, 4
 
 
 def _elements(element: FieldKind, encoding: Encoding, registry: TypeRegistry, compiled: dict,
-              fixed: bool) -> tuple:
-    """Return ``put(out, seq)`` and ``get(data, pos, count)`` for the elements alone."""
+              pending: list, fixed: bool) -> tuple:
+    """Return ``put(out, seq)``, ``get(data, pos, count)`` and the element's size."""
     portable = encoding is Encoding.PORTABLE
     tag = element.tag if isinstance(element, Primitive) else None
 
     if tag is PrimTag.U8 and not (portable and fixed):
-        # A byte payload, whether the Seq holds bytes or u8 values; portable
-        # seq<u8> pads it to four bytes.  A portable [u8; n] widens each byte
-        # like any other portable scalar, below.
+        # A byte payload from bytes or u8 values, padded to four bytes in a portable
+        # seq<u8>; a portable [u8; n] widens each byte like any other scalar, below.
         def put_bytes(out, seq):
             raw = seq._items if type(seq._items) is bytes else bytes(_numbers(tag, seq))
             out += raw
@@ -638,7 +618,7 @@ def _elements(element: FieldKind, encoding: Encoding, registry: TypeRegistry, co
                 raise Truncated(taken, len(data) - pos)
             return Seq._wrap(bytes(data[pos:pos + count])), pos + taken
 
-        return put_bytes, get_bytes
+        return put_bytes, get_bytes, 4 if portable else 1
 
     if tag is not None and tag is not PrimTag.STRING:
         order, code = _scalar_fmt(encoding, tag)
@@ -673,9 +653,9 @@ def _elements(element: FieldKind, encoding: Encoding, registry: TypeRegistry, co
                          else bytes(words.tolist()))
             return Seq._wrap(words), pos + size
 
-        return put_numbers, get_numbers
+        return put_numbers, get_numbers, unit
 
-    enc, dec = _compile(element, encoding, registry, compiled)
+    enc, dec, size = _compile(element, encoding, registry, compiled, pending)
 
     def put_each(out, seq):
         for i, item in enumerate(seq.elements()):
@@ -692,21 +672,21 @@ def _elements(element: FieldKind, encoding: Encoding, registry: TypeRegistry, co
             items.append(item)
         return Seq._wrap(items), pos
 
-    return put_each, get_each
+    return put_each, get_each, size
 
 
 def _record_codec(desc: RecordType, encoding: Encoding, registry: TypeRegistry,
-                  compiled: dict) -> tuple:
+                  compiled: dict, pending: list) -> tuple:
     name, count = desc.name, len(desc.fields)
     steps = [f".{f.name}" for f in desc.fields]
-    codecs = [_compile(f.kind, encoding, registry, compiled) for f in desc.fields]
+    codecs = [_compile(f.kind, encoding, registry, compiled, pending) for f in desc.fields]
 
     def enc(out, value):
         if not isinstance(value, Rec) or value.type_name != name:
             raise _Mismatch(f"record {name}", _describe(value))
         if len(value.fields) != count:
             raise _Mismatch(f"{count} fields for record {name}", f"{len(value.fields)} fields")
-        for step, (enc_field, _), field in zip(steps, codecs, value.fields):
+        for step, (enc_field, _, _), field in zip(steps, codecs, value.fields):
             try:
                 enc_field(out, field)
             except _Mismatch as exc:
@@ -715,20 +695,20 @@ def _record_codec(desc: RecordType, encoding: Encoding, registry: TypeRegistry,
 
     def dec(data, pos):
         fields = []
-        for _, dec_field in codecs:
+        for _, dec_field, _ in codecs:
             field, pos = dec_field(data, pos)
             fields.append(field)
         return Rec(name, fields), pos
 
-    return enc, dec
+    return enc, dec, sum(size for _, _, size in codecs)
 
 
 def _variant_codec(desc: VariantType, encoding: Encoding, registry: TypeRegistry,
-                   compiled: dict) -> tuple:
+                   compiled: dict, pending: list) -> tuple:
     name = desc.name
     length = struct.Struct(_scalar_fmt(encoding, PrimTag.U32))
-    arms = [(arm.name, arm.payload and _compile(arm.payload, encoding, registry, compiled))
-            for arm in desc.arms]
+    arms = [(a.name, a.payload and _compile(a.payload, encoding, registry, compiled, pending))
+            for a in desc.arms]
 
     def enc(out, value):
         if not isinstance(value, Var) or value.type_name != name:
@@ -761,7 +741,7 @@ def _variant_codec(desc: VariantType, encoding: Encoding, registry: TypeRegistry
         payload, pos = payload_codec[1](data, pos + 4)
         return Var(name, arm_name, payload), pos
 
-    return enc, dec
+    return enc, dec, 4 + min((c[2] if c else 0 for _, c in arms), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -780,16 +760,14 @@ def pack(buf: Buffer, value: DynValue, kind=None,
     out = buf._data
     start = len(out)
     try:
-        enc, _ = _codec(kind if kind is not None else infer_kind(value), buf.encoding, registry)
-        enc(out, value)
-    except _Mismatch as exc:
+        _codec(kind if kind is not None else infer_kind(value), buf.encoding, registry)[0](out, value)
+    except BaseException as exc:
         del out[start:]
-        raise SchemaMismatch("$" + "".join(reversed(exc.steps)), exc.expected, exc.found) from None
-    except RecursionError:
-        del out[start:]
-        raise PackError("value is nested too deeply to encode") from None
-    except BaseException:
-        del out[start:]
+        if isinstance(exc, _Mismatch):
+            path = "$" + "".join(reversed(exc.steps))
+            raise SchemaMismatch(path, exc.expected, exc.found) from None
+        if isinstance(exc, RecursionError):
+            raise PackError("value is nested too deeply to encode") from None
         raise
     return buf
 
@@ -801,7 +779,7 @@ def unpack(buf: Buffer, kind, registry: Optional[TypeRegistry] = None) -> DynVal
     nested too deeply to walk raise :class:`PackError` itself.  A failed
     unpack leaves the cursor where it was.
     """
-    _, dec = _codec(kind, buf.encoding, registry)
+    dec = _codec(kind, buf.encoding, registry)[1]
     with memoryview(buf._data) as data:
         try:
             value, buf._cursor = dec(data, buf._cursor)

@@ -59,6 +59,7 @@ ENV_RANK = "PACKRUN_RANK"
 ENV_NPROCS = "PACKRUN_NPROCS"
 ENV_COORD = "PACKRUN_COORD"
 ENV_HETERO = "PACKRUN_HETERO"
+ENV_TIMEOUT = "PACKRUN_TIMEOUT"
 
 # Control opcodes (first payload byte of control-kind envelopes)
 _OP_BARRIER_ENTER = 1
@@ -169,6 +170,7 @@ class WorldConfig:
             rendezvous=coord,
             my_rank_hint=int(env[ENV_RANK]),
             hetero=env.get(ENV_HETERO, "0") == "1",
+            timeout=float(env.get(ENV_TIMEOUT, cls.timeout)),
         )
 
 

@@ -104,6 +104,14 @@ def test_idlc_syntax_error_names_location(tmp_path, capsys):
     assert "line 1" in captured.err
 
 
+def test_idlc_reports_a_non_ascii_digit_as_a_syntax_error(tmp_path, capsys):
+    src = tmp_path / "digits.idl"
+    src.write_text("record a {\n  x: [i32; ²];\n}\n", encoding="utf-8")
+    rc = idlc_main([str(src)])
+    assert rc == 1
+    assert "idlc: line 2, column 12" in capsys.readouterr().err
+
+
 def test_idlc_empty_file(tmp_path, capsys):
     src = tmp_path / "empty.idl"
     src.write_text("")

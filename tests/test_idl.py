@@ -53,6 +53,13 @@ def test_missing_semicolon_is_a_syntax_error_at_the_brace():
     assert err.value.column == len("record a { x: i32 ") + 1
 
 
+@pytest.mark.parametrize("length,column", [("²", 7), ("٣", 7), ("3²", 8)])
+def test_array_length_takes_only_ascii_digits(length, column):
+    with pytest.raises(IdlSyntaxError) as err:
+        parse_kind(f"[i32; {length}]")
+    assert (err.value.line, err.value.column) == (1, column)
+
+
 def test_variant_arms_with_and_without_payload():
     (desc,) = parse_idl("variant shade { red; rgb(u32); }")
     assert desc == VariantType("shade", (Arm("red"), Arm("rgb", Primitive(PrimTag.U32))))

@@ -2,11 +2,13 @@
 
 import logging
 import os
+import threading
 
 import pytest
 
-from packrun.launcher import LaunchError, LaunchPlan, SpawnFailure, launch
-from packrun.transport import BackendKind, RendezvousTimeout
+from packrun import transport
+from packrun.launcher import LaunchError, LaunchPlan, SpawnFailure, _child_env, launch
+from packrun.transport import BackendKind, RendezvousTimeout, WorldConfig
 
 from support import pids_running, program
 
@@ -127,6 +129,26 @@ def test_run_timeout_kills_stragglers():
         launch(plan(2, "hang.py", backend=PROCESS, timeout=10.0,
                     run_timeout=3.0))
     assert pids_running("hang.py") == []
+
+
+@pytest.mark.parametrize("backend", [THREAD, PROCESS])
+def test_run_timeout_is_one_deadline_for_all_ranks(backend):
+    # Ranks end 0, 0.5 and 1.0 s after the rendezvous: each within 0.8 s of
+    # the one before it, but the last one past 0.8 s in all.
+    before = set(threading.enumerate())
+    with pytest.raises(LaunchError, match=r"2\]? still running after 0.8 s"):
+        launch(plan(3, "staggered.py", "0.5", backend=backend, run_timeout=0.8))
+    assert pids_running("staggered.py") == []
+    for runner in set(threading.enumerate()) - before:
+        runner.join(5.0)
+        assert not runner.is_alive()
+
+
+def test_rendezvous_window_reaches_every_rank():
+    env = _child_env(LaunchPlan(nprocs=2, program="x.py", timeout=30.0), 1, "127.0.0.1:9")
+    assert WorldConfig.from_env(env).timeout == 30.0
+    del env[transport.ENV_TIMEOUT]
+    assert WorldConfig.from_env(env).timeout == 10.0
 
 
 def test_per_rank_env_reaches_children(tmp_path):

@@ -5,6 +5,7 @@ import struct
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from packrun.mesh import Coordinator, connect_mesh
 from packrun.transport import (
@@ -21,6 +22,7 @@ from packrun.wire import (
     KIND_CONTROL,
     decode_header,
     encode_frame,
+    read_frame,
     recv_json,
     send_json,
 )
@@ -56,6 +58,42 @@ def test_frame_rejects_bad_magic_and_version():
         decode_header(b"XXXX" + good[4:HEADER_SIZE])
     with pytest.raises(FrameError):
         decode_header(good[:4] + b"\x09" + good[5:HEADER_SIZE])
+
+
+def _read_stream(stream: bytes):
+    """read_frame on a socket whose peer wrote ``stream`` and shut down."""
+    writer, reader = socket.socketpair()
+    with writer, reader:
+        writer.sendall(stream)  # far below the socket buffer size
+        writer.shutdown(socket.SHUT_WR)
+        return read_frame(reader)
+
+
+_FRAME_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+@_FRAME_PROPERTY
+@given(st.binary(max_size=96))
+def test_read_frame_on_arbitrary_bytes_raises_only_frame_error(stream):
+    try:
+        env = _read_stream(stream)
+    except FrameError:
+        return
+    assert env is None if not stream else isinstance(env, Envelope)
+
+
+@_FRAME_PROPERTY
+@given(st.sampled_from([0, KIND_CONTROL]), st.tuples(*[st.integers(0, 2**32 - 1)] * 4),
+       st.integers(0, 512), st.binary(max_size=512))
+def test_read_frame_after_a_valid_header_reads_the_payload_or_raises_frame_error(
+        kind, fields, length, tail):
+    header = encode_frame(Envelope(*fields, bytes(length), kind))[:HEADER_SIZE]
+    try:
+        env = _read_stream(header + tail)
+    except FrameError:
+        assert length > len(tail)
+        return
+    assert env == Envelope(*fields, tail[:length], kind)
 
 
 def test_json_exchange_over_socketpair():

@@ -261,6 +261,40 @@ def test_hostile_byte_seq_count_rejected():
         decode_value(payload, Encoding.PORTABLE, "seq<u8>")
 
 
+_SIZED = """
+    record pt { x: f64; y: u8; }
+    variant opt { a(f64); b([u8; 2]); }
+    record r { x: i32; next: seq<r>; }
+    record a { s: seq<b>; }
+    record b { x: i64; y: a; }
+"""
+
+
+# a kind holding a seq, the bytes before that seq's count, and the fewest
+# bytes of one of its elements: native, portable
+@pytest.mark.parametrize("kind,lead,native,portable", [
+    ("seq<i32>", 0, 4, 4), ("seq<bool>", 0, 1, 4), ("seq<string>", 0, 4, 4),
+    ("seq<seq<u8>>", 0, 4, 4), ("seq<[u8; 3]>", 0, 3, 12), ("seq<[i64; 2]>", 0, 16, 16),
+    ("seq<pt>", 0, 9, 12), ("seq<opt>", 0, 6, 12),
+    ("seq<r>", 0, 8, 8), ("r", 4, 8, 8),  # r.next is a seq<r>
+    ("seq<b>", 0, 12, 12), ("a", 0, 12, 12),  # b.y is an a, whose one field is a seq<b>
+])
+@pytest.mark.parametrize("first", ["a", "b", None])
+def test_hostile_count_is_checked_against_the_fewest_element_bytes(kind, lead, native,
+                                                                  portable, first):
+    # whichever kind compiles first, each element counts at its full minimum
+    for encoding, per_element, prefix in ((Encoding.NATIVE, native, "=I"),
+                                          (Encoding.PORTABLE, portable, ">I")):
+        registry = TypeRegistry.from_idl(_SIZED)
+        if first is not None:
+            with pytest.raises(Truncated):
+                decode_value(b"", encoding, first, registry)
+        with pytest.raises(Truncated) as err:
+            decode_value(bytes(lead) + struct.pack(prefix, 1000) + bytes(3), encoding, kind,
+                         registry)
+        assert (err.value.needed, err.value.available) == (1000 * per_element, 3)
+
+
 def test_malformed_variant_tag():
     registry = TypeRegistry.from_idl("variant shade { red; rgb(u32); }")
     with pytest.raises(MalformedVariantTag) as err:
