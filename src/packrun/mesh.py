@@ -8,6 +8,11 @@ side introduces itself with an 8-byte hello so the acceptor knows which rank
 is on the wire.  One reader thread per peer connection feeds the context's
 mailbox; writes are serialized per connection.
 
+A send writes its frame straight from the sender's payload buffer with one
+``sendmsg`` (no ``Envelope`` is built for it), and a reader receives each
+payload into the ``bytes`` object the mailbox then holds, so the mesh adds
+no payload copy on either side (see :mod:`packrun.wire`).
+
 The coordinator itself also lives here; the launcher runs it in-process.  It
 rejects duplicate rank claims and worlds whose members disagree on the
 encoding (a heterogeneous world must be portable everywhere).
@@ -29,7 +34,7 @@ from .transport import (
     TransportError,
     WorldConfig,
 )
-from .wire import Envelope, FrameError, encode_frame, read_frame, recv_json, send_json
+from .wire import FrameError, read_frame, recv_all, recv_json, send_json, write_frame
 
 _log = logging.getLogger(__name__)
 
@@ -74,16 +79,15 @@ class _MeshBackend:
         except (FrameError, OSError):
             return  # peer gone or stream torn down mid-frame; pending recvs time out
 
-    def post(self, env: Envelope) -> None:
-        conn = self._conns.get(env.dest)
+    def post(self, src: int, dest: int, comm_id: int, tag: int, payload, kind: int) -> None:
+        conn = self._conns.get(dest)
         if conn is None:
-            raise TransportError(f"no connection to rank {env.dest}")
-        frame = encode_frame(env)
+            raise TransportError(f"no connection to rank {dest}")
         try:
-            with self._send_locks[env.dest]:
-                conn.sendall(frame)
+            with self._send_locks[dest]:
+                write_frame(conn, src, dest, comm_id, tag, payload, kind)
         except OSError as exc:
-            raise TransportError(f"connection to rank {env.dest} lost: {exc}") from exc
+            raise TransportError(f"connection to rank {dest} lost: {exc}") from exc
 
     def shutdown(self) -> None:
         if self._closed:
@@ -146,7 +150,7 @@ def connect_mesh(config: WorldConfig) -> TransportContext:
                 listener.settimeout(_remaining(deadline, total))
                 conn, _addr = listener.accept()
                 conn.settimeout(_remaining(deadline, total))
-                hello = conn.recv(_HELLO.size, socket.MSG_WAITALL)
+                hello = recv_all(conn, _HELLO.size)
                 magic, peer = _HELLO.unpack(hello)
                 if magic != _HELLO_MAGIC or not 0 <= peer < rank or peer in conns:
                     conn.close()
@@ -157,7 +161,7 @@ def connect_mesh(config: WorldConfig) -> TransportContext:
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except socket.timeout:
             raise RendezvousTimeout(total) from None
-        except (OSError, struct.error) as exc:
+        except (OSError, struct.error, FrameError) as exc:
             raise TransportError(f"mesh establishment failed: {exc}") from exc
     except BaseException:
         for conn in conns.values():

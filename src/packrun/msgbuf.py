@@ -25,6 +25,11 @@ from .pack import Buffer, DynValue, Encoding, Prim, Seq, Str, pack, unpack
 from .transport import ANY, Communicator, TransportContext, TransportError
 
 
+# hot paths name these members directly: reading one through its Enum class is slow
+_I32, _U32, _I64, _F64, _BOOL = PrimTag.I32, PrimTag.U32, PrimTag.I64, PrimTag.F64, PrimTag.BOOL
+_NATIVE, _PORTABLE = Encoding.NATIVE, Encoding.PORTABLE
+
+
 class MalformedSegmentTable(TransportError):
     def __init__(self, detail: str):
         super().__init__(f"scatter segment table is malformed: {detail}")
@@ -54,7 +59,7 @@ class MsgBuf:
         self._ctx = ctx
         self._registry = registry
         self.comm = comm if comm is not None else ctx.world
-        self._buf = Buffer(Encoding.PORTABLE if ctx.hetero else Encoding.NATIVE)
+        self._buf = Buffer(_PORTABLE if ctx.hetero else _NATIVE)
         self.last_source: Optional[int] = None
 
     # -- buffer views
@@ -98,19 +103,19 @@ class MsgBuf:
         return unpack(self._buf, kind, self._registry)
 
     def put_i32(self, v: int) -> "MsgBuf":
-        return self.put(Prim(PrimTag.I32, v))
+        return self.put(Prim(_I32, v))
 
     def put_u32(self, v: int) -> "MsgBuf":
-        return self.put(Prim(PrimTag.U32, v))
+        return self.put(Prim(_U32, v))
 
     def put_i64(self, v: int) -> "MsgBuf":
-        return self.put(Prim(PrimTag.I64, v))
+        return self.put(Prim(_I64, v))
 
     def put_f64(self, v: float) -> "MsgBuf":
-        return self.put(Prim(PrimTag.F64, v))
+        return self.put(Prim(_F64, v))
 
     def put_bool(self, v: bool) -> "MsgBuf":
-        return self.put(Prim(PrimTag.BOOL, v))
+        return self.put(Prim(_BOOL, v))
 
     def put_str(self, v: str) -> "MsgBuf":
         return self.put(Str(v))
@@ -143,7 +148,7 @@ class MsgBuf:
 
     def send(self, dest: int, tag: int = 0) -> "MsgBuf":
         """Ship the buffer contents to ``dest`` and reset for the next message."""
-        self._ctx.send(self.comm, dest, tag, self._buf.data)
+        self._ctx.send(self.comm, dest, tag, self._buf._data)  # sent in place, no snapshot
         self._buf.reset()
         return self
 

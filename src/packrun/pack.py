@@ -253,13 +253,18 @@ class Buffer:
     writing to a file or handing to a transport.  ``reset`` empties the buffer
     without changing its encoding; extraction advances ``read_cursor`` and
     never shrinks the contents.
+
+    ``load`` and the constructor adopt a ``bytes`` object without copying it,
+    so a received payload is unpacked where it lies; the first write
+    (``pack`` or ``append``) copies it into a ``bytearray`` of the buffer's
+    own.  Any other contents are copied at once.
     """
 
     __slots__ = ("encoding", "_data", "_cursor")
 
     def __init__(self, encoding: Encoding = Encoding.NATIVE, contents: bytes = b""):
         self.encoding = encoding
-        self._data = bytearray(contents)
+        self._data = contents if type(contents) is bytes else bytearray(contents)
         self._cursor = 0
 
     @property
@@ -279,18 +284,25 @@ class Buffer:
         return len(self._data) - self._cursor
 
     def reset(self) -> "Buffer":
-        self._data.clear()
+        self._data = bytearray()
         self._cursor = 0
         return self
 
     def load(self, payload: bytes) -> "Buffer":
         """Replace the contents entirely and rewind the cursor."""
-        self._data = bytearray(payload)
+        self._data = payload if type(payload) is bytes else bytearray(payload)
         self._cursor = 0
         return self
 
+    def _writable(self) -> bytearray:
+        """The contents as a bytearray of this buffer's own, copied on the first write."""
+        if type(self._data) is not bytearray:
+            self._data = bytearray(self._data)
+        return self._data
+
     def append(self, raw) -> "Buffer":
-        self._data += raw
+        out = self._writable()
+        out += raw
         return self
 
     def __repr__(self) -> str:
@@ -757,7 +769,7 @@ def pack(buf: Buffer, value: DynValue, kind=None,
     leaves the buffer untouched, and so does a value nested too deeply to
     walk, which raises :class:`PackError`.
     """
-    out = buf._data
+    out = buf._writable()
     start = len(out)
     try:
         _codec(kind if kind is not None else infer_kind(value), buf.encoding, registry)[0](out, value)

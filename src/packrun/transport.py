@@ -19,6 +19,11 @@ agree on every rank without any allocation traffic.  The one collective
 algorithm lives in ``TransportContext._fan_in`` (every member's body to a
 root) and ``_fan_out`` (a body per member from a root); each collective
 calls one or both.
+
+A backend's ``post(src, dest, comm_id, tag, payload, kind)`` delivers one
+message.  ``payload`` may be the sender's own ``bytearray``, which is free to
+change once ``post`` returns: the mesh has written it to the socket by then,
+and the in-process world snapshots it.
 """
 
 from __future__ import annotations
@@ -356,8 +361,8 @@ class TransportContext:
 
     def _send_control(self, comm: Communicator, dest_local: int, seq: int,
                       opcode: int, body: bytes) -> None:
-        self._backend.post(Envelope(self.rank, comm.members[dest_local], comm.comm_id,
-                                    seq, bytes([opcode]) + body, KIND_CONTROL))
+        self._backend.post(self.rank, comm.members[dest_local], comm.comm_id,
+                           seq, bytes([opcode]) + body, KIND_CONTROL)
 
     def _recv_control(self, comm: Communicator, src_local: int, seq: int, opcode: int) -> bytes:
         env = self._mailbox.take(KIND_CONTROL, comm.comm_id, comm.members[src_local], seq)
@@ -370,15 +375,21 @@ class TransportContext:
     # -- point to point
 
     def send(self, comm: Communicator, dest: int, tag: int, payload: bytes) -> None:
+        """Send ``payload`` (anything ``bytes()`` accepts) to local rank ``dest``.
+
+        A ``bytes`` or ``bytearray`` goes to the backend as it is, and may be
+        changed again once this returns.
+        """
         self._check_open()
         dest = _check_rank(comm, dest)
         if dest == comm.local_rank:
             raise SelfSend()
         tag = _check_tag(tag)
-        payload = bytes(payload)
+        if type(payload) is not bytes and type(payload) is not bytearray:
+            payload = bytes(payload)
         if len(payload) > MAX_PAYLOAD:
             raise TransportError(f"payload of {len(payload)} bytes exceeds the {MAX_PAYLOAD} maximum")
-        self._backend.post(Envelope(self.rank, comm.members[dest], comm.comm_id, tag, payload, KIND_DATA))
+        self._backend.post(self.rank, comm.members[dest], comm.comm_id, tag, payload, KIND_DATA)
 
     def recv(self, comm: Communicator, source=ANY, tag=ANY,
              timeout: Optional[float] = None) -> tuple[int, int, bytes]:
@@ -499,8 +510,9 @@ class InProcessWorld:
             self._attached.add(rank)
         return TransportContext(rank, self.nprocs, self, self._mailboxes[rank], self.hetero)
 
-    def post(self, env: Envelope) -> None:
-        self._mailboxes[env.dest].put(env)
+    def post(self, src: int, dest: int, comm_id: int, tag: int, payload, kind: int) -> None:
+        # The snapshot: the sender may refill a bytearray payload once send returns.
+        self._mailboxes[dest].put(Envelope(src, dest, comm_id, tag, bytes(payload), kind))
 
     def shutdown(self) -> None:
         pass  # per-rank mailboxes are closed by their contexts

@@ -4,6 +4,11 @@ Defines the message envelope, the socket frame format, and the tiny
 length-prefixed JSON exchange used during rendezvous.  Frames are fixed
 little machines: magic ``MPB1``, version byte, kind byte (data or control),
 then four big-endian u32 header fields and the payload.
+
+A frame costs no payload copy here on either side.  ``write_frame`` hands
+the header and the caller's payload buffer to one ``sendmsg``;
+``read_frame`` receives the payload with ``MSG_WAITALL`` straight into the
+``bytes`` object that becomes ``Envelope.payload``.
 """
 
 from __future__ import annotations
@@ -41,12 +46,31 @@ class Envelope:
     kind: int = KIND_DATA
 
 
+def _header(src: int, dest: int, comm_id: int, tag: int, payload, kind: int) -> bytes:
+    if len(payload) > MAX_PAYLOAD:
+        raise FrameError(f"payload of {len(payload)} bytes exceeds the {MAX_PAYLOAD} maximum")
+    return _HEADER.pack(MAGIC, VERSION, kind, src, dest, comm_id, tag, len(payload))
+
+
 def encode_frame(env: Envelope) -> bytes:
-    if len(env.payload) > MAX_PAYLOAD:
-        raise FrameError(f"payload of {len(env.payload)} bytes exceeds the {MAX_PAYLOAD} maximum")
-    header = _HEADER.pack(MAGIC, VERSION, env.kind, env.src, env.dest,
-                          env.comm_id, env.tag, len(env.payload))
-    return header + env.payload
+    return _header(env.src, env.dest, env.comm_id, env.tag, env.payload, env.kind) + env.payload
+
+
+def write_frame(sock: socket.socket, src: int, dest: int, comm_id: int, tag: int,
+                payload, kind: int = KIND_DATA) -> None:
+    """Send one frame, the bytes ``encode_frame`` would give, without copying ``payload``.
+
+    ``payload`` is any bytes-like object; it is read in place, so it must
+    not change until this returns.
+    """
+    header = _header(src, dest, comm_id, tag, payload, kind)
+    sent = sock.sendmsg([header, payload])
+    if sent < HEADER_SIZE:  # only a socket with a timeout, or a signal, stops short
+        sock.sendall(header[sent:])
+        sent = HEADER_SIZE
+    if sent < HEADER_SIZE + len(payload):
+        with memoryview(payload) as view:
+            sock.sendall(view[sent - HEADER_SIZE:])
 
 
 def decode_header(header: bytes) -> tuple[int, int, int, int, int, int]:
@@ -62,27 +86,35 @@ def decode_header(header: bytes) -> tuple[int, int, int, int, int, int]:
     return kind, src, dest, comm_id, tag, length
 
 
-def recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly n bytes, or b"" if the peer closed before the first byte."""
-    chunks = bytearray()
-    while len(chunks) < n:
-        chunk = sock.recv(n - len(chunks))
+def recv_all(sock: socket.socket, n: int) -> bytes:
+    """Read exactly n bytes, or b"" if the peer closed before the first byte.
+
+    On a blocking socket ``MSG_WAITALL`` returns all n bytes from one call,
+    and that object is returned as it is.  A socket with a timeout
+    (non-blocking underneath) or a stream that ends returns short reads,
+    which are joined.
+    """
+    parts = []
+    got = 0
+    while got < n:
+        chunk = sock.recv(n - got, socket.MSG_WAITALL)
         if not chunk:
-            if not chunks:
-                return b""
-            raise FrameError(f"connection closed mid-frame ({len(chunks)} of {n} bytes)")
-        chunks += chunk
-    return bytes(chunks)
+            if got:
+                raise FrameError(f"connection closed mid-frame ({got} of {n} bytes)")
+            return b""
+        parts.append(chunk)
+        got += len(chunk)
+    return b"".join(parts)  # a single part is returned itself, not copied
 
 
 def read_frame(sock: socket.socket) -> Envelope | None:
     """Read one frame; None on clean end of stream."""
-    header = recv_exact(sock, HEADER_SIZE)
+    header = recv_all(sock, HEADER_SIZE)
     if not header:
         return None
     kind, src, dest, comm_id, tag, length = decode_header(header)
-    payload = recv_exact(sock, length) if length else b""
-    if length and len(payload) != length:
+    payload = recv_all(sock, length)
+    if len(payload) != length:
         raise FrameError("connection closed mid-payload")
     return Envelope(src, dest, comm_id, tag, payload, kind)
 
@@ -97,13 +129,13 @@ def send_json(sock: socket.socket, obj: dict) -> None:
 
 
 def recv_json(sock: socket.socket) -> dict | None:
-    prefix = recv_exact(sock, 4)
+    prefix = recv_all(sock, 4)
     if not prefix:
         return None
     (length,) = struct.unpack(">I", prefix)
     if length > 1_000_000:
         raise FrameError(f"rendezvous message of {length} bytes is implausible")
-    body = recv_exact(sock, length)
+    body = recv_all(sock, length)
     if len(body) != length:
         raise FrameError("connection closed mid-message")
     return json.loads(body.decode("utf-8"))

@@ -94,17 +94,35 @@ def console_script(name: str) -> tuple[list[str], dict[str, str]]:
     return [sys.executable, "-c", code], env
 
 
-def pids_running(needle: str) -> list[int]:
-    """Process ids whose command line contains `needle` (Linux /proc scan)."""
+def _script_of(argv: list[bytes]):
+    """The script a Python command line runs, or None (not Python, or -c / -m)."""
+    if not os.path.basename(argv[0]).startswith(b"python"):
+        return None
+    for arg in argv[1:]:
+        if arg in (b"-c", b"-m"):
+            return None
+        if not arg.startswith(b"-"):
+            return arg
+    return None
+
+
+def pids_running(program_name: str) -> list[int]:
+    """Ids of Python processes whose script path ends with `program_name` (Linux /proc scan).
+
+    Only the interpreter's script argument counts, so a shell or a
+    ``python -c`` whose text merely names the program is not a match.
+    """
+    name = program_name.encode()
     found = []
     for entry in pathlib.Path("/proc").iterdir():
         if not entry.name.isdigit():
             continue
         try:
-            cmdline = (entry / "cmdline").read_bytes()
+            argv = (entry / "cmdline").read_bytes().split(b"\0")
         except OSError:
             continue
-        if needle.encode() in cmdline:
+        script = _script_of(argv)
+        if script is not None and (script == name or script.endswith(b"/" + name)):
             found.append(int(entry.name))
     return found
 

@@ -2,6 +2,8 @@
 
 import logging
 import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -129,6 +131,24 @@ def test_run_timeout_kills_stragglers():
         launch(plan(2, "hang.py", backend=PROCESS, timeout=10.0,
                     run_timeout=3.0))
     assert pids_running("hang.py") == []
+
+
+def test_pids_running_counts_only_python_processes_running_the_program(tmp_path):
+    script = tmp_path / "pids_probe.py"
+    script.write_text("import time\ntime.sleep(60)\n")
+    procs = [subprocess.Popen(argv) for argv in (
+        ["/bin/sh", "-c", f"sleep 60; : {script}"],  # a shell naming the program
+        [sys.executable, "-c", "import time; time.sleep(60)  # pids_probe.py"],
+        [sys.executable, "-u", str(script)],
+    )]
+    try:  # Popen returns once each child has exec'd, so its command line is final
+        assert pids_running("pids_probe.py") == [procs[2].pid]
+        assert pids_running("probe.py") == []  # a whole file name, not a suffix of one
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait(5)
+    assert pids_running("pids_probe.py") == []
 
 
 @pytest.mark.parametrize("backend", [THREAD, PROCESS])

@@ -1,15 +1,19 @@
 """Socket backend: frames, rendezvous, and a real TCP mesh inside one process."""
 
+import random
 import socket
 import struct
 import threading
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from packrun.mesh import Coordinator, connect_mesh
+from packrun.mesh import Coordinator, _MeshBackend, connect_mesh
 from packrun.transport import (
     BackendKind,
+    Mailbox,
     RankConflict,
     RendezvousTimeout,
     TransportError,
@@ -20,11 +24,13 @@ from packrun.wire import (
     FrameError,
     HEADER_SIZE,
     KIND_CONTROL,
+    KIND_DATA,
     decode_header,
     encode_frame,
     read_frame,
     recv_json,
     send_json,
+    write_frame,
 )
 from support import run_ranks
 
@@ -94,6 +100,157 @@ def test_read_frame_after_a_valid_header_reads_the_payload_or_raises_frame_error
         assert length > len(tail)
         return
     assert env == Envelope(*fields, tail[:length], kind)
+
+
+class _Drain(threading.Thread):
+    """Reads what the peer of ``sock`` writes until it shuts down; keeps it or only counts it."""
+
+    def __init__(self, sock, keep=True):
+        super().__init__(daemon=True)
+        self.sock, self.keep = sock, keep
+        self.data, self.count = bytearray(), 0
+        self._chunk = bytearray(1 << 16)
+
+    def run(self):
+        while n := self.sock.recv_into(self._chunk):
+            self.count += n
+            if self.keep:
+                self.data += memoryview(self._chunk)[:n]
+
+
+def _feed(writer, pieces, pause=0.0):
+    """Write each piece to ``writer`` from a thread, pausing between them, then close it."""
+    def write():
+        with writer:
+            for piece in pieces:
+                writer.sendall(piece)
+                time.sleep(pause)
+
+    feeder = threading.Thread(target=write, daemon=True)
+    feeder.start()
+    return feeder
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.one_of(st.sampled_from([0, 1 << 20]), st.integers(0, 64), st.integers(0, 1 << 20)),
+       st.integers(0, 2**32 - 1), st.booleans(), st.booleans(),
+       st.sampled_from(["write_frame", "post"]))
+def test_a_frame_written_in_place_is_the_bytes_of_encode_frame(size, seed, mutable, timeout, via):
+    env = Envelope(1, 0, 7, seed, random.Random(seed).randbytes(size),
+                   KIND_DATA if seed % 2 else KIND_CONTROL)
+    sent = bytearray(env.payload) if mutable else env.payload
+    writer, reader = socket.socketpair()
+    if timeout:  # non-blocking underneath: sendmsg stops short and sendall sends the rest
+        writer.settimeout(5.0)
+    drain = _Drain(reader)
+    drain.start()
+    with reader:
+        if via == "post":
+            backend = _MeshBackend(1, {0: writer}, Mailbox())
+            backend.post(env.src, env.dest, env.comm_id, env.tag, sent, env.kind)
+            backend.shutdown()
+        else:
+            with writer:
+                write_frame(writer, env.src, env.dest, env.comm_id, env.tag, sent, env.kind)
+                writer.shutdown(socket.SHUT_WR)
+        drain.join(10)
+    assert not drain.is_alive()
+    assert drain.data == encode_frame(env)
+
+
+class _ShortSender:
+    """A socket whose first sendmsg takes only ``first`` bytes; records what was sent."""
+
+    def __init__(self, first):
+        self.first, self.sent = first, bytearray()
+
+    def sendmsg(self, buffers):
+        self.sent += b"".join(buffers)[:self.first]
+        return self.first
+
+    def sendall(self, data):
+        self.sent += data
+
+
+@pytest.mark.parametrize("first", [0, 3, HEADER_SIZE, HEADER_SIZE + 5])
+def test_write_frame_sends_the_rest_of_a_short_sendmsg(first):
+    payload = bytearray(range(40))
+    sock = _ShortSender(first)
+    write_frame(sock, 2, 3, 4, 5, payload)
+    assert sock.sent == encode_frame(Envelope(2, 3, 4, 5, bytes(payload)))
+
+
+@pytest.mark.parametrize("timeout", [None, 5.0], ids=["blocking", "timeout"])
+@pytest.mark.parametrize("pieces", ["1-byte", "random"])
+def test_read_frame_takes_frames_written_in_pieces(pieces, timeout):
+    rng = random.Random(10)
+    envs = [Envelope(2, 3, 4, 5, rng.randbytes(n)) for n in (0, 1, 37)]
+    if pieces == "random":
+        envs.append(Envelope(0, 1, 0, 9, rng.randbytes(300_000), KIND_CONTROL))
+    stream = b"".join(encode_frame(env) for env in envs)
+    cuts = [0]
+    while cuts[-1] < len(stream):
+        cuts.append(cuts[-1] + (1 if pieces == "1-byte" else rng.randint(1, 70_000)))
+    writer, reader = socket.socketpair()
+    reader.settimeout(timeout)
+    # the pause lets the reader see each piece on its own
+    feeder = _feed(writer, [stream[a:b] for a, b in zip(cuts, cuts[1:])], pause=0.0005)
+    with reader:
+        got = [read_frame(reader) for _ in envs]
+        assert read_frame(reader) is None
+    feeder.join(10)
+    assert got == envs
+
+
+@pytest.mark.parametrize("timeout", [None, 5.0], ids=["blocking", "timeout"])
+@pytest.mark.parametrize("cut", ["mid-header", "mid-payload", "before-payload"])
+def test_end_of_stream_inside_a_frame_is_a_frame_error(cut, timeout):
+    frame = encode_frame(Envelope(0, 1, 0, 3, bytes(100_000)))
+    stream = frame[:{"mid-header": HEADER_SIZE // 2, "mid-payload": HEADER_SIZE + 60_000,
+                     "before-payload": HEADER_SIZE}[cut]]
+    writer, reader = socket.socketpair()
+    reader.settimeout(timeout)
+    feeder = _feed(writer, [stream])
+    with reader, pytest.raises(FrameError, match="closed mid"):
+        read_frame(reader)
+    feeder.join(10)
+
+
+_BIG = 8 << 20
+
+
+def test_read_frame_of_a_big_frame_allocates_about_one_payload():
+    frame = encode_frame(Envelope(0, 1, 0, 0, bytes(_BIG)))
+    writer, reader = socket.socketpair()
+    tracemalloc.start()
+    try:
+        feeder = _feed(writer, [frame])
+        with reader:
+            env = read_frame(reader)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    feeder.join(10)
+    assert env.payload == bytes(_BIG)
+    assert peak < 1.25 * _BIG, f"read_frame peaked at {peak / _BIG:.2f} payloads"
+
+
+def test_write_frame_allocates_nothing_of_payload_size():
+    payload = bytearray(_BIG)
+    writer, reader = socket.socketpair()
+    drain = _Drain(reader, keep=False)
+    drain.start()
+    with writer, reader:
+        tracemalloc.start()
+        try:
+            write_frame(writer, 0, 1, 0, 0, payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        writer.shutdown(socket.SHUT_WR)
+        drain.join(10)
+    assert drain.count == HEADER_SIZE + _BIG
+    assert peak < _BIG // 16, f"write_frame allocated {peak} bytes"
 
 
 def test_json_exchange_over_socketpair():
@@ -279,4 +436,42 @@ def test_mesh_fifo_and_large_payload():
         assert results[1][1] == b"tail"
     finally:
         for ctx in ctxs:
+            ctx.finalize()
+
+
+def test_a_hello_split_across_two_writes_still_joins_the_mesh():
+    # Rank 1 of a two-rank world accepts the mesh connection; rank 0 is
+    # played by hand and sends its 8-byte hello in two TCP segments.
+    coordinator = Coordinator(2, timeout=10.0)
+    boss = threading.Thread(target=coordinator.run, daemon=True)
+    boss.start()
+    joined = {}
+
+    def rank1():
+        try:
+            joined["ctx"] = connect_mesh(_mesh_config(coordinator, 2, 1))
+        except Exception as exc:  # surfaced below
+            joined["error"] = exc
+
+    acceptor = threading.Thread(target=rank1, daemon=True)
+    acceptor.start()
+    with socket.create_connection((coordinator.host, coordinator.port), timeout=5) as coord:
+        send_json(coord, {"op": "register", "rank": 0, "host": "127.0.0.1", "port": 1,
+                          "encoding": "native"})
+        table = recv_json(coord)
+    host, port = table["peers"][1]
+    with socket.create_connection((host, port), timeout=5) as dialer:
+        dialer.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        hello = struct.pack(">4sI", b"HELO", 0)
+        dialer.sendall(hello[:3])
+        time.sleep(0.2)
+        dialer.sendall(hello[3:])
+        acceptor.join(10)
+        boss.join(10)
+        assert "error" not in joined, joined.get("error")
+        ctx = joined["ctx"]
+        try:
+            write_frame(dialer, 0, 1, 0, 5, b"after the hello")
+            assert ctx.recv(ctx.world, source=0, tag=5, timeout=5)[2] == b"after the hello"
+        finally:
             ctx.finalize()

@@ -141,6 +141,31 @@ def test_load_replaces_contents_and_rewinds():
     assert unpack(buf, "i32") == Prim(PrimTag.I32, -2)
 
 
+def test_load_adopts_bytes_and_the_first_write_copies_them():
+    payload = bytes.fromhex("fffffffe") + b"tail"
+    buf = Buffer(Encoding.PORTABLE)
+    buf.load(payload)
+    assert buf.data is payload  # adopted, not copied
+    assert unpack(buf, "i32") == Prim(PrimTag.I32, -2)
+    pack(buf, Prim(PrimTag.U32, 7))
+    buf.append(b"!")
+    assert payload == bytes.fromhex("fffffffe") + b"tail"
+    assert buf.data == payload + bytes.fromhex("00000007") + b"!"
+    assert buf.read_cursor == 4  # the copy keeps the cursor
+    assert Buffer(Encoding.PORTABLE, payload).data is payload
+    assert decode_value(payload, Encoding.PORTABLE, "i32") == Prim(PrimTag.I32, -2)
+
+
+@pytest.mark.parametrize("make", [bytearray, memoryview], ids=["bytearray", "memoryview"])
+def test_load_copies_any_other_contents(make):
+    source = bytearray.fromhex("00000007")
+    for buf in (Buffer(Encoding.PORTABLE).load(make(source)),
+                Buffer(Encoding.PORTABLE, make(source))):
+        source[3] = 9  # the caller may reuse its buffer at once
+        assert unpack(buf, "u32") == Prim(PrimTag.U32, 7)
+        source[3] = 7
+
+
 def test_data_and_size_expose_exact_contents():
     buf = Buffer(Encoding.PORTABLE)
     pack(buf, Prim(PrimTag.U32, 0xDEADBEEF))

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from packrun._slots import Slot, install_slot
+from packrun.msgbuf import MsgBuf
 from packrun.transport import (
     ANY,
     AlreadyInitialized,
@@ -28,7 +29,7 @@ from packrun.transport import (
     init,
 )
 from packrun.wire import KIND_CONTROL, Envelope
-from support import make_world, run_ranks
+from support import make_mesh_world, make_world, run_ranks
 
 
 @pytest.fixture
@@ -103,6 +104,38 @@ def test_fifo_order_same_tag():
     c0.send(c0.world, 1, 0, b"second")
     assert c1.recv(c1.world, timeout=5)[2] == b"first"
     assert c1.recv(c1.world, timeout=5)[2] == b"second"
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_a_payload_changed_after_send_arrives_as_first_sent(backend):
+    # Backends get the sender's own bytearray; it may change once send returns.
+    ctxs = make_world(2)[1] if backend == "thread" else make_mesh_world(2)
+    first = bytes(range(256)) * 4096  # 1 MiB
+    refill = b"refill" * 1000
+
+    def member(ctx):
+        buf = MsgBuf(ctx)
+        if ctx.rank == 0:
+            buf.put_bytes(first).send(1)
+            buf.put_bytes(refill)
+            raw = bytearray(first)
+            ctx.send(ctx.world, 1, 1, raw)
+            raw[:] = refill
+            ctx.send(ctx.world, 1, 3, [1, 2, 3])  # anything bytes() accepts
+            buf.send(1, 2)
+            return None
+        return (buf.get(source=0, tag=0, timeout=10).take_bytes(),
+                ctx.recv(ctx.world, 0, 1, timeout=10)[2],
+                buf.get(source=0, tag=2, timeout=10).take_bytes(),
+                ctx.recv(ctx.world, 0, 3, timeout=10)[2])
+
+    try:
+        got = run_ranks(ctxs, member, timeout=30)[1]
+    finally:
+        for ctx in ctxs:
+            ctx.finalize()
+    assert got == (first, first, refill, b"\x01\x02\x03")
+    assert all(type(payload) is bytes for payload in got)
 
 
 def test_self_send_rejected():
@@ -503,9 +536,9 @@ def test_collectives_post_the_flat_root_centric_schedule():
         posted = [[] for _ in range(n)]
         deliver = world.post
 
-        def record(env):
-            posted[env.src].append(env)
-            deliver(env)
+        def record(src, dest, comm_id, tag, payload, kind):
+            posted[src].append(Envelope(src, dest, comm_id, tag, bytes(payload), kind))
+            deliver(src, dest, comm_id, tag, payload, kind)
 
         world.post = record
         bcast_root, gather_root, scatter_root = (rng.randrange(n) for _ in range(3))
