@@ -28,14 +28,17 @@ Grammar::
 
 Comments run from ``//`` to end of line.  Whitespace is insignificant.
 Identifiers are ASCII: a letter or underscore, then letters, digits or
-underscores.  Keywords and primitive names are reserved.
+underscores.  Keywords and primitive names are reserved.  Tokens come from
+one table of patterns, and ``validate`` finds reference cycles with graphlib.
 """
 
 from __future__ import annotations
 
+import graphlib
+import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 
 class PrimTag(str, Enum):
@@ -174,59 +177,33 @@ class IllegalRecursion(IdlError):
 # Tokenizer
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident", "int", "punct", "eof"
     text: str
     line: int
     column: int
 
 
-_PUNCT = {"{", "}", "<", ">", "[", "]", "(", ")", ":", ";"}
+# One alternative per token class, tried in order: every character starts one,
+# and end of input is the last.  Identifiers and integers are ASCII only.
+_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("ident", r"[A-Za-z_][A-Za-z0-9_]*"), ("punct", r"[{}<>\[\]():;]"), ("blank", r"[ \t\r]+"),
+    ("newline", r"\n"), ("int", r"[0-9]+"), ("comment", r"//[^\n]*"),
+    ("other", r"."), ("eof", r"\Z"),
+)))
 
 
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "/" and source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch.isascii() and (ch.isalpha() or ch == "_"):
-            j = i
-            while j < n and source[j].isascii() and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if "0" <= ch <= "9":  # ASCII only, like identifiers
-            j = i
-            while j < n and "0" <= source[j] <= "9":
-                j += 1
-            tokens.append(_Token("int", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise IdlSyntaxError(line, col, f"a token (found {ch!r})")
-    tokens.append(_Token("eof", "", line, col))
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(source):
+        kind, column = match.lastgroup, match.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "other":
+            raise IdlSyntaxError(line, column, f"a token (found {match.group()!r})")
+        elif kind not in ("blank", "comment"):
+            tokens.append(_Token(kind, match.group(), line, column))
     return tokens
 
 
@@ -253,8 +230,7 @@ class _Parser:
         return IdlSyntaxError(tok.line, tok.column, f"{expected} (found {found!r})")
 
     def _expect_punct(self, text: str) -> _Token:
-        tok = self._peek()
-        if tok.kind == "punct" and tok.text == text:
+        if self._peek().text == text:
             return self._advance()
         raise self._error(f"{text!r}")
 
@@ -264,17 +240,13 @@ class _Parser:
             return self._advance()
         raise self._error(what)
 
-    def _at_keyword(self, word: str) -> bool:
-        tok = self._peek()
-        return tok.kind == "ident" and tok.text == word
-
     def parse_file(self) -> list[TypeDescriptor]:
         descriptors: list[TypeDescriptor] = []
         seen: set[str] = set()
         while self._peek().kind != "eof":
-            if self._at_keyword("record"):
+            if self._peek().text == "record":
                 desc: TypeDescriptor = self._parse_record()
-            elif self._at_keyword("variant"):
+            elif self._peek().text == "variant":
                 desc = self._parse_variant()
             else:
                 raise self._error("'record' or 'variant'")
@@ -284,46 +256,46 @@ class _Parser:
             descriptors.append(desc)
         return descriptors
 
-    def _parse_record(self) -> RecordType:
-        self._advance()  # "record"
+    def _parse_members(self, member, expect_first: str, expect_later: str) -> tuple[str, list]:
+        """Parse ``IDENT "{" { IDENT member ";" }`` after the keyword, up to the ``}``."""
+        self._advance()  # "record" or "variant"
         name = self._expect_ident("a type name").text
         self._expect_punct("{")
-        fields: list[FieldDescriptor] = []
+        members: list = []
         names: set[str] = set()
-        while not (self._peek().kind == "punct" and self._peek().text == "}"):
-            fname = self._expect_ident("a field name or '}'").text
-            if fname in names:
-                raise DuplicateField(name, fname)
-            names.add(fname)
-            self._expect_punct(":")
-            kind = self._parse_kind(0)
+        while self._peek().text != "}":
+            member_name = self._expect_ident(expect_later if members else expect_first).text
+            if member_name in names:
+                raise DuplicateField(name, member_name)
+            names.add(member_name)
+            members.append(member(member_name))
             self._expect_punct(";")
-            fields.append(FieldDescriptor(fname, kind))
-        self._expect_punct("}")
+        return name, members
+
+    def _parse_record(self) -> RecordType:
+        name, fields = self._parse_members(self._parse_field, "a field name or '}'",
+                                           "a field name or '}'")
+        self._advance()  # "}"
         return RecordType(name, tuple(fields))
 
+    def _parse_field(self, name: str) -> FieldDescriptor:
+        self._expect_punct(":")
+        return FieldDescriptor(name, self._parse_kind(0))
+
     def _parse_variant(self) -> VariantType:
-        self._advance()  # "variant"
-        name = self._expect_ident("a type name").text
-        self._expect_punct("{")
-        arms: list[Arm] = []
-        names: set[str] = set()
-        while not (self._peek().kind == "punct" and self._peek().text == "}"):
-            aname = self._expect_ident("an arm name" if not arms else "an arm name or '}'").text
-            if aname in names:
-                raise DuplicateField(name, aname)
-            names.add(aname)
-            payload: Optional[FieldKind] = None
-            if self._peek().kind == "punct" and self._peek().text == "(":
-                self._advance()
-                payload = self._parse_kind(0)
-                self._expect_punct(")")
-            self._expect_punct(";")
-            arms.append(Arm(aname, payload))
+        name, arms = self._parse_members(self._parse_arm, "an arm name", "an arm name or '}'")
         if not arms:
             raise self._error("at least one arm")
-        self._expect_punct("}")
+        self._advance()  # "}"
         return VariantType(name, tuple(arms))
+
+    def _parse_arm(self, name: str) -> Arm:
+        if self._peek().text != "(":
+            return Arm(name)
+        self._advance()
+        payload = self._parse_kind(0)
+        self._expect_punct(")")
+        return Arm(name, payload)
 
     def _parse_kind(self, depth: int) -> FieldKind:
         if depth >= MAX_KIND_NESTING:
@@ -339,7 +311,7 @@ class _Parser:
             element = self._parse_kind(depth + 1)
             self._expect_punct(">")
             return Sequence(element)
-        if tok.kind == "punct" and tok.text == "[":
+        if self._peek().text == "[":
             self._advance()
             element = self._parse_kind(depth + 1)
             self._expect_punct(";")
@@ -501,31 +473,20 @@ class TypeRegistry:
         return self
 
 
-def _find_cycles(edges: dict[str, list[str]]) -> list[IllegalRecursion]:
-    """Report one cycle per strongly-entangled starting node, deterministically."""
-    errors: list[IllegalRecursion] = []
-    done: set[str] = set()
-
-    def dfs(node: str, stack: list[str], on_stack: set[str]) -> Optional[tuple[str, ...]]:
-        stack.append(node)
-        on_stack.add(node)
-        for succ in edges.get(node, ()):
-            if succ in on_stack:
-                return tuple(stack[stack.index(succ):]) + (succ,)
-            if succ not in done:
-                found = dfs(succ, stack, on_stack)
-                if found:
-                    return found
-        stack.pop()
-        on_stack.remove(node)
-        done.add(node)
-        return None
-
-    for name in edges:
-        if name in done:
-            continue
-        cycle = dfs(name, [], set())
-        if cycle:
-            errors.append(IllegalRecursion(cycle))
-            done.update(cycle)
-    return errors
+def _find_cycles(edges: dict[str, list[str]]) -> Iterator[IllegalRecursion]:
+    """Report cycles of ``edges`` (type -> types it holds) until none is left.  A reported
+    cycle's types then hold nothing: reports share no type, and every cycle meets one."""
+    while True:
+        sorter = graphlib.TopologicalSorter()
+        for name, refs in edges.items():
+            sorter.add(name)
+            for ref in refs:  # held after holder: the search follows references
+                sorter.add(ref, name)
+        try:
+            sorter.prepare()
+        except graphlib.CycleError as exc:
+            cycle = tuple(exc.args[1])
+            yield IllegalRecursion(cycle)
+            edges = {**edges, **dict.fromkeys(cycle, ())}
+        else:
+            return

@@ -61,6 +61,7 @@ class _MeshBackend:
     """Routes envelopes onto per-peer sockets; owns the reader threads."""
 
     def __init__(self, rank: int, conns: dict[int, socket.socket], mailbox: Mailbox):
+        self._rank = rank
         self._conns = conns
         self._mailbox = mailbox
         self._send_locks = {peer: threading.Lock() for peer in conns}
@@ -73,7 +74,8 @@ class _MeshBackend:
         try:
             while True:
                 env = read_frame(conn)
-                if env is None:
+                # a frame that misnames its sender or receiver ends the stream
+                if env is None or env.src != peer or env.dest != self._rank:
                     return
                 self._mailbox.put(env)
         except (FrameError, OSError):

@@ -348,7 +348,10 @@ _INFERRED = {tag: (Primitive(tag), Sequence(Primitive(tag))) for tag in PrimTag}
 def infer_kind(value: DynValue) -> FieldKind:
     """Derive the field kind a value encodes as, where it is unambiguous."""
     if isinstance(value, Prim):
-        return _INFERRED[value.tag][0] if value.tag in _INFERRED else Primitive(value.tag)
+        try:
+            return _INFERRED[value.tag][0]
+        except (KeyError, TypeError):  # not a PrimTag, or not even hashable
+            raise SchemaMismatch("$", "a primitive tag", repr(value.tag)) from None
     if isinstance(value, Str):
         return _INFERRED[PrimTag.STRING][0]
     if isinstance(value, (Rec, Var)):
@@ -371,7 +374,8 @@ def _f32_exact(v: float) -> bool:
 
 def _describe(value) -> str:
     if isinstance(value, Prim):
-        return f"{value.tag.value} value"
+        tag = value.tag
+        return f"{tag.value} value" if isinstance(tag, PrimTag) else f"value tagged {tag!r}"
     if isinstance(value, Str):
         return "string"
     if isinstance(value, Seq):
@@ -524,7 +528,7 @@ def _string_codec(encoding: Encoding) -> tuple:
             raise _Mismatch("string", _describe(value))
         try:
             payload = value.text.encode("utf-8")
-        except UnicodeEncodeError:
+        except (UnicodeEncodeError, AttributeError):  # lone surrogates, or text not a str
             raise _Mismatch("a UTF-8 encodable string", "unencodable text") from None
         if len(payload) > MAX_LENGTH:
             raise _Mismatch(f"string of at most {MAX_LENGTH} bytes", f"{len(payload)} bytes")

@@ -1,8 +1,10 @@
 """Type language: grammar, descriptors, registry validation."""
 
+import ast
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from packrun.idl import (
     Arm,
@@ -134,6 +136,49 @@ def test_syntax_error_reports_position_on_later_lines():
     with pytest.raises(IdlSyntaxError) as err:
         parse_idl("record a {\n  x: wrong!;\n}")
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("parse,source,line,column", [
+    (parse_idl, "record // no name", 1, 18),
+    (parse_kind, "//c", 1, 4),
+    (parse_idl, "record a {\n  // end", 2, 9),
+])
+def test_end_of_input_after_a_trailing_comment_is_one_past_the_comment(parse, source, line, column):
+    with pytest.raises(IdlSyntaxError, match="end of input") as err:
+        parse(source)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+_PIECES = ["record", "variant", "seq", "i32", "string", "a", "b_1", "0", "3",
+           *"{}<>[]():;", "/", "\u00e9", "#"]
+_GAPS = [" ", "\t", "\r", "\n", "// note\n", "//\n", "// }"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(st.tuples(st.sampled_from(_PIECES), st.lists(st.sampled_from(_GAPS), max_size=2)),
+                max_size=30),
+       st.sampled_from([parse_idl, parse_kind]))
+def test_a_syntax_error_names_where_its_token_starts_or_one_past_the_end(pieces, parse):
+    text, starts = "", set()
+    for piece, gaps in pieces:
+        starts.add(len(text))
+        text += piece + "".join(gaps)
+    try:
+        parse(text)
+    except IdlSyntaxError as err:
+        lines = text.split("\n")
+        assert 1 <= err.line <= len(lines) and 1 <= err.column <= len(lines[err.line - 1]) + 1
+        offset = sum(len(line) + 1 for line in lines[:err.line - 1]) + err.column - 1
+        message = str(err)
+        if message.endswith("(found 'end of input')"):
+            assert offset == len(text)
+        else:
+            assert offset in starts
+            if " (found " in message:
+                found = ast.literal_eval(message.rpartition(" (found ")[2][:-1])
+                assert text.startswith(found, offset)
+    except (DuplicateField, DuplicateType):
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -291,3 +336,35 @@ def test_validate_agrees_with_cycle_oracle():
         assert not any(isinstance(e, UnresolvedType) for e in errors)
         flagged = any(isinstance(e, IllegalRecursion) for e in errors)
         assert flagged == _oracle_has_cycle(registry)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4), st.randoms(use_true_random=False))
+def test_validate_reports_each_of_k_disjoint_cycles_once_in_reference_order(lengths, rng):
+    # cycle i is a ring of types; its types may also hold types of earlier
+    # cycles, plainly or behind a seq, which closes no further cycle
+    rings, fields = [], {}
+    for length in lengths:
+        earlier = [name for ring in rings for name in ring]
+        rings.append([f"t{len(fields) + j}" for j in range(length)])
+        for j, name in enumerate(rings[-1]):
+            held = [rings[-1][(j + 1) % length]]
+            held += rng.sample(earlier, min(len(earlier), rng.randint(0, 2)))
+            held += [f"seq<t{rng.randrange(sum(lengths))}>"] * rng.randint(0, 1)
+            rng.shuffle(held)
+            fields[name] = held
+    order = list(fields)
+    rng.shuffle(order)
+    registry = TypeRegistry.from_idl(" ".join(
+        f"record {name} {{ {' '.join(f'f{i}: {k};' for i, k in enumerate(fields[name]))} }}"
+        for name in order))
+    errors = registry.validate()
+    assert all(isinstance(e, IllegalRecursion) for e in errors)
+    assert sorted(sorted(e.cycle[1:]) for e in errors) == sorted(sorted(ring) for ring in rings)
+    for e in errors:
+        assert e.cycle[0] == e.cycle[-1]
+        for holder, held in zip(e.cycle, e.cycle[1:]):
+            successors = set()
+            for f in registry.resolve(holder).fields:
+                _hard_successors(f.kind, successors)
+            assert held in successors

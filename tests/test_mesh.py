@@ -216,6 +216,25 @@ def test_end_of_stream_inside_a_frame_is_a_frame_error(cut, timeout):
     feeder.join(10)
 
 
+@pytest.mark.parametrize("spoofed", [Envelope(2, 1, 0, 2, b"spoof"), Envelope(0, 0, 0, 2, b"spoof")],
+                         ids=["src", "dest"])
+def test_a_frame_misnaming_its_sender_or_receiver_ends_the_reader(spoofed):
+    # rank 1 reads from rank 0; only frames from 0 to 1 belong on this socket
+    writer, reader = socket.socketpair()
+    mailbox = Mailbox()
+    backend = _MeshBackend(1, {0: reader}, mailbox)
+    frames = [Envelope(0, 1, 0, 1, b"first"), spoofed, Envelope(0, 1, 0, 3, b"after")]
+    with writer:
+        writer.sendall(b"".join(encode_frame(env) for env in frames))
+        readers = [t for t in threading.enumerate() if t.name == "mesh-read-1<-0"]
+        for thread in readers:
+            thread.join(5)
+        assert readers and not any(thread.is_alive() for thread in readers)
+    assert mailbox.take(KIND_DATA, 0, None, None, timeout=1).payload == b"first"
+    assert mailbox.pending() == 0
+    backend.shutdown()
+
+
 _BIG = 8 << 20
 
 

@@ -173,13 +173,18 @@ def test_data_and_size_expose_exact_contents():
     assert buf.size == 4
 
 
+class _Exploding(str):
+    def encode(self, *args):
+        raise RuntimeError("boom")
+
+
 def test_failed_pack_leaves_buffer_untouched_on_any_error():
     registry = TypeRegistry.from_idl("record named { id: i32; name: string; }")
     buf = Buffer(Encoding.PORTABLE)
     pack(buf, Prim(PrimTag.I32, 1))
     snapshot = buf.data
-    with pytest.raises(AttributeError):  # the id field is written before name fails
-        pack(buf, Rec("named", [Prim(PrimTag.I32, 2), Str(None)]), "named", registry)
+    with pytest.raises(RuntimeError):  # the id field is written before name fails
+        pack(buf, Rec("named", [Prim(PrimTag.I32, 2), Str(_Exploding("x"))]), "named", registry)
     assert buf.data == snapshot
 
 
@@ -254,6 +259,20 @@ def test_empty_sequence_needs_explicit_kind():
     with pytest.raises(SchemaMismatch):
         pack(Buffer(Encoding.PORTABLE), Seq([]))
     encode_value(Seq([]), Encoding.PORTABLE, "seq<i32>")
+
+
+# leaves malformed in themselves, bad in place of any scalar
+_MALFORMED = [Str(123), Str(None), Prim(None, 1), Prim([1], 1), Prim("i32", 1), Prim("string", "x")]
+
+
+@pytest.mark.parametrize("leaf", _MALFORMED, ids=repr)
+def test_a_malformed_leaf_is_a_schema_mismatch_with_or_without_a_kind(leaf):
+    buf = pack(Buffer(), Prim(PrimTag.U8, 7))
+    with pytest.raises(SchemaMismatch):
+        pack(buf, leaf)
+    with pytest.raises(SchemaMismatch):
+        pack(buf, Seq([Prim(PrimTag.U8, 1), leaf]), "seq<u8>")
+    assert buf.data == bytes([7])
 
 
 def test_infer_kind_for_plain_values():
@@ -590,7 +609,8 @@ def test_property_one_bad_leaf_is_named_and_leaves_buffer_untouched(earlier, val
     leaves = []
     _swap_leaf(_MSG, value, "$", None, leaves)
     path, tag = data.draw(st.sampled_from(leaves))
-    bad = _swap_leaf(_MSG, value, "$", (path, data.draw(st.sampled_from(_BAD_SCALARS[tag]))), [])
+    bad_leaf = data.draw(st.sampled_from(_BAD_SCALARS[tag] + _MALFORMED))
+    bad = _swap_leaf(_MSG, value, "$", (path, bad_leaf), [])
     for encoding in (Encoding.PORTABLE, Encoding.NATIVE):
         buf = pack(Buffer(encoding), earlier, _MSG, _ALL_KINDS)
         snapshot = buf.data
