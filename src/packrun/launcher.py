@@ -1,16 +1,23 @@
 """Start N ranks of a program and collect their exit codes.
 
-Two backends share one entry point. The process backend spawns one child
-interpreter per rank, points them at the rendezvous coordinator it then runs
-via PACKRUN_* environment variables, and waits for all of them; on a
-rendezvous failure every child is killed so no orphans survive. The thread
-backend runs every rank inside this process: each rank gets its own
-logical-process slot with a pre-attached in-process transport, then the
-program file is executed as __main__ in a dedicated thread.
+Two backends share one entry point. The process backend binds one loopback
+listener and opens one pipe per rank before it spawns anything. Each child
+interpreter inherits its own listener and the write end of its own pipe,
+and learns every rank's port from PACKRUN_* environment variables, so it
+builds its part of the mesh on its own (see :mod:`packrun.mesh`) and then
+writes one byte to its pipe. The launcher waits for a byte from every rank;
+if a rank exits first, or the rendezvous window passes, every child is
+killed so no orphans survive. The thread backend runs every rank inside
+this process: each rank gets its own logical-process slot with a
+pre-attached in-process transport, then the program file is executed as
+__main__ in a dedicated thread.
 """
 
+import logging
 import os
 import runpy
+import selectors
+import socket
 import subprocess
 import sys
 import threading
@@ -20,9 +27,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._slots import Slot, install_slot
-from .mesh import Coordinator
-from .transport import (ENV_COORD, ENV_HETERO, ENV_NPROCS, ENV_RANK, ENV_TIMEOUT,
-                        BackendKind, InProcessWorld)
+from .mesh import LOOPBACK
+from .transport import (ENV_HETERO, ENV_LISTEN_FD, ENV_NPROCS, ENV_PORTS, ENV_RANK, ENV_READY_FD,
+                        ENV_TIMEOUT, BackendKind, InProcessWorld, RendezvousTimeout)
+
+_log = logging.getLogger(__name__)
 
 
 class LaunchError(Exception):
@@ -40,11 +49,11 @@ class SpawnFailure(LaunchError):
 class LaunchPlan:
     """Everything needed to start one multi-rank run.
 
-    run_timeout is one deadline for all ranks together, from the end of the
-    rendezvous or the start of thread ranks (None = wait forever); timeout
-    bounds the rendezvous, in the launcher and in every rank.  per_rank_env
-    is added to each rank's environment on the process backend only; thread
-    ranks share this process's environment.
+    run_timeout is one deadline for all ranks together, from the moment the
+    last process rank joins the mesh or the start of thread ranks (None =
+    wait forever); timeout bounds the rendezvous, in the launcher and in
+    every rank.  per_rank_env is added to each rank's environment on the
+    process backend only; thread ranks share this process's environment.
     """
 
     nprocs: int
@@ -75,12 +84,15 @@ def launch(plan: LaunchPlan) -> List[int]:
 # process backend
 
 
-def _child_env(plan: LaunchPlan, rank: int, coord_address: str) -> Dict[str, str]:
+def _child_env(plan: LaunchPlan, rank: int, ports: str, listen_fd: int,
+               ready_fd: int) -> Dict[str, str]:
     env = dict(os.environ)
     env.update(plan.per_rank_env)
     env[ENV_RANK] = str(rank)
     env[ENV_NPROCS] = str(plan.nprocs)
-    env[ENV_COORD] = coord_address
+    env[ENV_PORTS] = ports
+    env[ENV_LISTEN_FD] = str(listen_fd)
+    env[ENV_READY_FD] = str(ready_fd)
     env[ENV_TIMEOUT] = str(plan.timeout)
     if plan.hetero:
         env[ENV_HETERO] = "1"
@@ -108,19 +120,64 @@ def _kill_all(procs: Sequence[subprocess.Popen]) -> None:
             pass
 
 
+def _close(fds: List[int]) -> None:
+    while fds:
+        os.close(fds.pop())
+
+
+def _await_mesh(procs: Sequence[subprocess.Popen], ready: Sequence[int], timeout: float) -> None:
+    """Wait for one byte from each rank's pipe: the rank's mesh is up.
+
+    A pipe that ends first means its rank exited before joining, which fails
+    the launch at once; so does the window passing.
+    """
+    deadline = time.monotonic() + timeout
+    with selectors.DefaultSelector() as selector:
+        for rank, fd in enumerate(ready):
+            selector.register(fd, selectors.EVENT_READ, rank)
+        joined = 0
+        while joined < len(ready):
+            events = selector.select(_left(deadline))
+            if not events:
+                raise RendezvousTimeout(timeout)
+            for key, _mask in events:
+                rank = key.data
+                selector.unregister(key.fd)
+                if not os.read(key.fd, 1):
+                    try:
+                        code = procs[rank].wait(_left(deadline))
+                    except subprocess.TimeoutExpired:  # closed its pipe, yet runs on
+                        raise RendezvousTimeout(timeout) from None
+                    raise SpawnFailure(rank, f"exited with code {code} before joining the mesh")
+                joined += 1
+                _log.info("rank %d joined the mesh (%d of %d)", rank, joined, len(ready))
+    _log.info("mesh complete: %d ranks", len(ready))
+
+
 def _launch_processes(plan: LaunchPlan) -> List[int]:
-    coordinator = Coordinator(plan.nprocs, timeout=plan.timeout)
     argv = [sys.executable, plan.program, *plan.args]
     procs: List[subprocess.Popen] = []
+    handed: List[int] = []  # rank r's listener and pipe write end at 2r and 2r + 1
+    ready: List[int] = []   # rank r's pipe read end at r
     try:
+        ports = []
+        for _ in range(plan.nprocs):
+            with socket.create_server((LOOPBACK, 0), backlog=plan.nprocs) as listener:
+                ports.append(str(listener.getsockname()[1]))
+                handed.append(listener.detach())
+            read_end, write_end = os.pipe()
+            ready.append(read_end)
+            handed.append(write_end)
         for rank in range(plan.nprocs):
-            env = _child_env(plan, rank, coordinator.address)
+            fds = handed[2 * rank:2 * rank + 2]
+            env = _child_env(plan, rank, ",".join(ports), *fds)
             try:
-                procs.append(subprocess.Popen(argv, env=env))
+                procs.append(subprocess.Popen(argv, env=env, pass_fds=fds))
             except OSError as exc:
                 raise SpawnFailure(rank, str(exc)) from exc
+        _close(handed)  # the ranks hold the only copies, so a rank's exit ends its pipe
 
-        coordinator.run()  # children that dial early wait in its listener's backlog
+        _await_mesh(procs, ready, plan.timeout)
 
         deadline = _deadline(plan.run_timeout)
         codes = []
@@ -133,7 +190,8 @@ def _launch_processes(plan: LaunchPlan) -> List[int]:
         return codes
     finally:
         _kill_all(procs)
-        coordinator.close()
+        _close(handed)
+        _close(ready)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ reads like a C++ stream::
 
 Buffers default to the native encoding; a heterogeneous world (one whose
 ranks may differ in architecture) switches every buffer to the portable
-encoding, decided at world construction and agreed during rendezvous.
+encoding.  The launcher decides it for the whole world, and each mesh
+hello carries it, so a rank refuses a peer that encodes differently.
 """
 
 from __future__ import annotations

@@ -399,6 +399,11 @@ def _scalar(tag: PrimTag, value: DynValue) -> Union[int, float]:
     if tag is _F32 or tag is _F64:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise _Mismatch(tag.value, _describe(value))
+        if v.__class__ is not float:  # an int may be too large for any float
+            try:
+                float(v)
+            except OverflowError:
+                raise _Mismatch(f"{tag.value} in range", f"{v.bit_length()}-bit integer") from None
         if tag is _F32 and not _f32_exact(float(v)):
             raise _Mismatch("a single-precision representable f32", repr(v))
         return v
@@ -414,8 +419,9 @@ def _numbers(tag: PrimTag, seq: Seq) -> list:
     """Check each element of ``seq`` against scalar ``tag``; return the numbers to write."""
     items = seq._items
     if type(items) is list and tag is not _F32:
-        # one pass for the common case; anything unusual takes the checked loop
-        plain = (int,) if tag in _INT_RANGE else (float, int) if tag is _F64 else (bool,)
+        # one pass for the common case; anything unusual takes the checked loop,
+        # f64 ints too, since one may be too large for a float
+        plain = (int,) if tag in _INT_RANGE else (float,) if tag is _F64 else (bool,)
         values = [p.value for p in items
                   if p.__class__ is Prim and p.tag is tag and p.value.__class__ in plain]
         lo, hi = _INT_RANGE.get(tag, (None, None))

@@ -62,7 +62,9 @@ WORLD_COMM_ID = 0
 # Environment the launcher sets for each spawned rank (see WorldConfig.from_env)
 ENV_RANK = "PACKRUN_RANK"
 ENV_NPROCS = "PACKRUN_NPROCS"
-ENV_COORD = "PACKRUN_COORD"
+ENV_PORTS = "PACKRUN_PORTS"
+ENV_LISTEN_FD = "PACKRUN_LISTEN_FD"
+ENV_READY_FD = "PACKRUN_READY_FD"
 ENV_HETERO = "PACKRUN_HETERO"
 ENV_TIMEOUT = "PACKRUN_TIMEOUT"
 
@@ -154,28 +156,33 @@ class BackendKind(Enum):
 class WorldConfig:
     nprocs: int = 1
     backend: BackendKind = BackendKind.IN_PROCESS
-    rendezvous: Optional[str] = None  # "host:port" of the launcher's coordinator
     my_rank_hint: Optional[int] = None
     hetero: bool = False
     timeout: float = 10.0
+    # a mesh rank's hand-over from the launcher, which binds every listener first
+    ports: tuple = ()                # every rank's loopback port, by rank
+    listen_fd: Optional[int] = None  # this rank's own listener
+    ready_fd: Optional[int] = None   # gets one byte once this rank's mesh is up
 
     @classmethod
     def from_env(cls, env=os.environ) -> "WorldConfig":
         """Build the configuration a launcher injected, if any.
 
-        A process started by the launcher sees PACKRUN_COORD and joins the
+        A process started by the launcher sees PACKRUN_PORTS and joins the
         socket mesh; anything else becomes a single-rank world.
         """
-        coord = env.get(ENV_COORD)
-        if coord is None:
+        ports = env.get(ENV_PORTS)
+        if ports is None:
             return cls()
         return cls(
             nprocs=int(env[ENV_NPROCS]),
             backend=BackendKind.SOCKET_MESH,
-            rendezvous=coord,
             my_rank_hint=int(env[ENV_RANK]),
             hetero=env.get(ENV_HETERO, "0") == "1",
             timeout=float(env.get(ENV_TIMEOUT, cls.timeout)),
+            ports=tuple(int(port) for port in ports.split(",")),
+            listen_fd=int(env[ENV_LISTEN_FD]),
+            ready_fd=int(env[ENV_READY_FD]),
         )
 
 

@@ -1,9 +1,8 @@
-"""Wire-level plumbing shared by the transport backends and the launcher.
+"""Wire-level plumbing of the socket mesh: the message envelope and its frame.
 
-Defines the message envelope, the socket frame format, and the tiny
-length-prefixed JSON exchange used during rendezvous.  Frames are fixed
-little machines: magic ``MPB1``, version byte, kind byte (data or control),
-then four big-endian u32 header fields and the payload.
+Frames are fixed little machines: magic ``MPB1``, version byte, kind byte
+(data or control), then five big-endian u32 fields (source, destination,
+communicator, tag, payload length) and the payload.
 
 A frame costs no payload copy here on either side.  ``write_frame`` hands
 the header and the caller's payload buffer to one ``sendmsg``;
@@ -13,7 +12,6 @@ the header and the caller's payload buffer to one ``sendmsg``;
 
 from __future__ import annotations
 
-import json
 import socket
 import struct
 from dataclasses import dataclass
@@ -117,25 +115,3 @@ def read_frame(sock: socket.socket) -> Envelope | None:
     if len(payload) != length:
         raise FrameError("connection closed mid-payload")
     return Envelope(src, dest, comm_id, tag, payload, kind)
-
-
-# ---------------------------------------------------------------------------
-# Rendezvous messages: u32 length + UTF-8 JSON object
-
-
-def send_json(sock: socket.socket, obj: dict) -> None:
-    body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-    sock.sendall(struct.pack(">I", len(body)) + body)
-
-
-def recv_json(sock: socket.socket) -> dict | None:
-    prefix = recv_all(sock, 4)
-    if not prefix:
-        return None
-    (length,) = struct.unpack(">I", prefix)
-    if length > 1_000_000:
-        raise FrameError(f"rendezvous message of {length} bytes is implausible")
-    body = recv_all(sock, length)
-    if len(body) != length:
-        raise FrameError("connection closed mid-message")
-    return json.loads(body.decode("utf-8"))

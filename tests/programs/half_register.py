@@ -1,8 +1,8 @@
-"""Rank 1 never registers; every other rank enters normally.
+"""Rank 1 never joins the mesh; every other rank enters normally.
 
-Forces the partial-registration path: the coordinator must notify the
-ranks that did connect before giving up, and the launcher must reap the
-silent one.
+Forces the partial-join path: rank 0 joins (its dial waits in rank 1's
+listen backlog) and exits, and the launcher must time out waiting for
+rank 1 and reap it.
 """
 
 import os

@@ -1,4 +1,4 @@
-"""Never registers with the coordinator; just sleeps.
+"""Never joins the mesh; just sleeps.
 
 Exists to force a rendezvous timeout and prove the launcher reaps
 the stragglers it started.

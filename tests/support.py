@@ -14,6 +14,7 @@ import json
 import os
 import pathlib
 import random
+import socket
 import struct
 import sys
 import threading
@@ -274,33 +275,40 @@ def make_world(nprocs: int, hetero: bool = False):
     return world, [world.attach(r) for r in range(nprocs)]
 
 
-def make_mesh_world(nprocs: int, hetero: bool = False, timeout: float = 10.0):
-    """Bring up a real TCP mesh with one thread per rank; returns the ctxs."""
-    from packrun.mesh import Coordinator, connect_mesh
+def mesh_configs(nprocs: int, hetero: bool = False, timeout: float = 10.0):
+    """One mesh config per rank, each holding a listener bound here, as the launcher binds them."""
+    from packrun.mesh import LOOPBACK
     from packrun.transport import BackendKind, WorldConfig
 
-    coordinator = Coordinator(nprocs, timeout=timeout)
-    boss = threading.Thread(target=coordinator.run, daemon=True)
-    boss.start()
+    fds, ports = [], []
+    for _ in range(nprocs):
+        with socket.create_server((LOOPBACK, 0), backlog=nprocs) as listener:
+            ports.append(listener.getsockname()[1])
+            fds.append(listener.detach())
+    return [WorldConfig(nprocs=nprocs, backend=BackendKind.SOCKET_MESH, my_rank_hint=rank,
+                        hetero=hetero, timeout=timeout, ports=tuple(ports), listen_fd=fd)
+            for rank, fd in enumerate(fds)]
+
+
+def make_mesh_world(nprocs: int, hetero: bool = False, timeout: float = 10.0):
+    """Bring up a real TCP mesh with one thread per rank; returns the ctxs."""
+    from packrun.mesh import connect_mesh
+
     ctxs = [None] * nprocs
     errors = []
 
-    def join_world(rank):
-        config = WorldConfig(nprocs=nprocs, backend=BackendKind.SOCKET_MESH,
-                             rendezvous=coordinator.address, my_rank_hint=rank,
-                             hetero=hetero, timeout=timeout)
+    def join_world(config):
         try:
-            ctxs[rank] = connect_mesh(config)
+            ctxs[config.my_rank_hint] = connect_mesh(config)
         except Exception as exc:  # surfaced below
             errors.append(exc)
 
-    joiners = [threading.Thread(target=join_world, args=(r,), daemon=True)
-               for r in range(nprocs)]
+    joiners = [threading.Thread(target=join_world, args=(config,), daemon=True)
+               for config in mesh_configs(nprocs, hetero, timeout)]
     for t in joiners:
         t.start()
     for t in joiners:
         t.join(timeout)
-    boss.join(timeout)
     if errors:
         raise errors[0]
     assert all(ctx is not None for ctx in ctxs)

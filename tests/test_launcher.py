@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -53,13 +54,15 @@ def test_exit_code_passes_through_per_rank(backend):
     assert codes == [0, 0, 3, 0]
 
 
-def test_coordinator_logs_each_registration(caplog):
-    with caplog.at_level(logging.INFO, logger="packrun.mesh"):
+def test_launcher_logs_each_rank_joining(caplog):
+    with caplog.at_level(logging.INFO, logger="packrun.launcher"):
         codes = launch(plan(4, "exitcode.py", "0", "0", backend=PROCESS,
                             run_timeout=30.0))
     assert codes == [0, 0, 0, 0]
-    registrations = [r for r in caplog.records if "registered rank" in r.message]
-    assert len(registrations) == 4
+    messages = [r.getMessage() for r in caplog.records if r.name == "packrun.launcher"]
+    joined = [m for m in messages if "joined the mesh" in m]
+    assert sorted(int(m.split()[1]) for m in joined) == [0, 1, 2, 3]
+    assert messages[-1] == "mesh complete: 4 ranks"
 
 
 @pytest.mark.parametrize("backend", [THREAD, PROCESS])
@@ -118,12 +121,34 @@ def test_rendezvous_timeout_reaps_children():
 
 
 def test_partial_registration_notifies_and_reaps(tmp_path):
-    # rank 0 registers and waits for the table; rank 1 stays silent.
-    # The coordinator must tell rank 0 the rendezvous died (so it exits on
-    # its own) and the launcher must kill rank 1.
+    # rank 0 joins the mesh and exits; rank 1 never joins.  The launcher
+    # must time out waiting for rank 1 and kill it.
     with pytest.raises(RendezvousTimeout):
         launch(plan(2, "half_register.py", backend=PROCESS, timeout=2.0))
     assert pids_running("half_register.py") == []
+
+
+def test_a_rank_that_exits_before_joining_fails_the_launch_at_once():
+    started = time.monotonic()
+    with pytest.raises(SpawnFailure) as err:
+        launch(plan(3, "early_exit.py", "3", "1", backend=PROCESS, timeout=30.0))
+    assert time.monotonic() - started < 10.0
+    assert err.value.rank == 1
+    assert err.value.reason == "exited with code 3 before joining the mesh"
+    assert pids_running("early_exit.py") == []
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def test_a_launch_leaves_the_launchers_descriptors_as_it_found_them():
+    before = _open_fds()
+    assert launch(plan(3, "exitcode.py", "0", "0", backend=PROCESS, run_timeout=30.0)) == [0, 0, 0]
+    assert _open_fds() == before
+    with pytest.raises(RendezvousTimeout):
+        launch(plan(2, "norendezvous.py", backend=PROCESS, timeout=0.5))
+    assert _open_fds() == before
 
 
 def test_run_timeout_kills_stragglers():
@@ -165,7 +190,7 @@ def test_run_timeout_is_one_deadline_for_all_ranks(backend):
 
 
 def test_rendezvous_window_reaches_every_rank():
-    env = _child_env(LaunchPlan(nprocs=2, program="x.py", timeout=30.0), 1, "127.0.0.1:9")
+    env = _child_env(LaunchPlan(nprocs=2, program="x.py", timeout=30.0), 1, "9,10", 7, 8)
     assert WorldConfig.from_env(env).timeout == 30.0
     del env[transport.ENV_TIMEOUT]
     assert WorldConfig.from_env(env).timeout == 10.0

@@ -1,5 +1,7 @@
-"""Socket backend: frames, rendezvous, and a real TCP mesh inside one process."""
+"""Socket backend: frames, mesh set-up, and a real TCP mesh inside one process."""
 
+import dataclasses
+import os
 import random
 import socket
 import struct
@@ -10,7 +12,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from packrun.mesh import Coordinator, _MeshBackend, connect_mesh
+from packrun.mesh import _MeshBackend, connect_mesh
 from packrun.transport import (
     BackendKind,
     Mailbox,
@@ -28,11 +30,9 @@ from packrun.wire import (
     decode_header,
     encode_frame,
     read_frame,
-    recv_json,
-    send_json,
     write_frame,
 )
-from support import run_ranks
+from support import make_mesh_world, mesh_configs, run_ranks
 
 
 # ---------------------------------------------------------------------------
@@ -272,57 +272,37 @@ def test_write_frame_allocates_nothing_of_payload_size():
     assert peak < _BIG // 16, f"write_frame allocated {peak} bytes"
 
 
-def test_json_exchange_over_socketpair():
-    a, b = socket.socketpair()
-    try:
-        send_json(a, {"op": "register", "rank": 3})
-        assert recv_json(b) == {"op": "register", "rank": 3}
-        a.close()
-        assert recv_json(b) is None
-    finally:
-        b.close()
-
-
 # ---------------------------------------------------------------------------
-# Rendezvous + mesh (threads standing in for rank processes)
+# Mesh set-up (threads standing in for rank processes)
 
 
-def _mesh_config(coordinator, nprocs, rank, hetero=False, timeout=10.0):
-    return WorldConfig(nprocs=nprocs, backend=BackendKind.SOCKET_MESH,
-                       rendezvous=coordinator.address, my_rank_hint=rank,
-                       hetero=hetero, timeout=timeout)
+def _join_in_background(config):
+    """Run ``connect_mesh(config)`` on a thread; the outcome lands in the returned dict."""
+    outcome = {}
 
-
-def _bring_up_world(nprocs, hetero=False):
-    coordinator = Coordinator(nprocs, timeout=10.0)
-    boss = threading.Thread(target=coordinator.run, daemon=True)
-    boss.start()
-    ctxs = [None] * nprocs
-    errors = []
-
-    def join_world(rank):
+    def join():
         try:
-            ctxs[rank] = connect_mesh(_mesh_config(coordinator, nprocs, rank, hetero))
-        except Exception as exc:  # surfaced below
-            errors.append(exc)
+            outcome["ctx"] = connect_mesh(config)
+        except Exception as exc:  # surfaced by the test
+            outcome["error"] = exc
 
-    joiners = [threading.Thread(target=join_world, args=(r,), daemon=True) for r in range(nprocs)]
-    for t in joiners:
-        t.start()
-    for t in joiners:
-        t.join(10)
-    boss.join(10)
-    if errors:
-        raise errors[0]
-    assert all(ctx is not None for ctx in ctxs)
-    return coordinator, ctxs
+    thread = threading.Thread(target=join, daemon=True)
+    thread.start()
+    return thread, outcome
+
+
+def _hello(rank, portable=False):
+    return struct.pack(">4sI?", b"HELO", rank, portable)
+
+
+def _close_listeners(configs):
+    for config in configs:
+        os.close(config.listen_fd)
 
 
 def test_mesh_world_sends_and_collects():
-    coordinator, ctxs = _bring_up_world(3)
+    ctxs = make_mesh_world(3)
     try:
-        assert sorted(coordinator.registered) == [0, 1, 2]
-
         def member(ctx):
             if ctx.rank == 0:
                 ctx.send(ctx.world, 1, 4, b"zero->one")
@@ -339,14 +319,14 @@ def test_mesh_world_sends_and_collects():
 
 
 def test_mesh_single_rank_world():
-    coordinator, (ctx,) = _bring_up_world(1)
+    (ctx,) = make_mesh_world(1)
     ctx.barrier(ctx.world)
     assert ctx.broadcast(ctx.world, 0, b"solo") == b"solo"
     ctx.finalize()
 
 
 def test_mesh_carries_hetero_flag():
-    _, ctxs = _bring_up_world(2, hetero=True)
+    ctxs = make_mesh_world(2, hetero=True)
     try:
         assert all(ctx.hetero for ctx in ctxs)
     finally:
@@ -354,81 +334,79 @@ def test_mesh_carries_hetero_flag():
             ctx.finalize()
 
 
+def test_a_joined_rank_writes_its_ready_byte_and_closes_what_it_was_handed():
+    read_end, write_end = os.pipe()
+    config = dataclasses.replace(mesh_configs(1)[0], ready_fd=write_end)
+    ctx = connect_mesh(config)
+    try:
+        assert os.read(read_end, 2) == b"\x01"
+        assert os.read(read_end, 1) == b""  # the rank's write end is closed
+        with pytest.raises(OSError):
+            os.fstat(config.listen_fd)
+    finally:
+        os.close(read_end)
+        ctx.finalize()
+
+
+def test_a_rank_that_fails_to_join_closes_its_ready_descriptor_without_writing():
+    read_end, write_end = os.pipe()
+    configs = mesh_configs(2, timeout=0.3)
+    config = dataclasses.replace(configs[1], ready_fd=write_end)
+    _close_listeners(configs[:1])
+    with pytest.raises(RendezvousTimeout):
+        connect_mesh(config)
+    try:
+        assert os.read(read_end, 1) == b""
+    finally:
+        os.close(read_end)
+
+
 def test_rank_conflict_detected():
-    coordinator = Coordinator(2, timeout=5.0)
-    outcome = {}
-
-    def boss():
-        try:
-            coordinator.run()
-        except RankConflict as exc:
-            outcome["boss"] = exc
-
-    boss_thread = threading.Thread(target=boss, daemon=True)
-    boss_thread.start()
-
-    first = socket.create_connection((coordinator.host, coordinator.port), timeout=5)
-    send_json(first, {"op": "register", "rank": 0, "host": "127.0.0.1",
-                      "port": 1, "encoding": "native"})
-    second = socket.create_connection((coordinator.host, coordinator.port), timeout=5)
-    send_json(second, {"op": "register", "rank": 0, "host": "127.0.0.1",
-                       "port": 2, "encoding": "native"})
-    second.settimeout(5)
-    reply = recv_json(second)
-    assert reply["op"] == "error"
-    assert reply["reason"] == "rank-conflict"
-    boss_thread.join(5)
-    assert isinstance(outcome.get("boss"), RankConflict)
-    first.close()
-    second.close()
+    # Rank 2 accepts ranks 0 and 1; two dialers both claim to be rank 0.
+    configs = mesh_configs(3)
+    _close_listeners(configs[:2])
+    thread, outcome = _join_in_background(configs[2])
+    dialers = [socket.create_connection(("127.0.0.1", configs[2].ports[2]), timeout=5)
+               for _ in range(2)]
+    try:
+        for dialer in dialers:
+            dialer.sendall(_hello(0))
+        thread.join(10)
+        assert isinstance(outcome.get("error"), RankConflict)
+        assert outcome["error"].rank == 0
+    finally:
+        for dialer in dialers:
+            dialer.close()
 
 
 def test_mixed_encoding_world_rejected():
-    coordinator = Coordinator(2, timeout=5.0)
-    outcome = {}
-
-    def boss():
-        try:
-            coordinator.run()
-        except TransportError as exc:
-            outcome["boss"] = exc
-
-    boss_thread = threading.Thread(target=boss, daemon=True)
-    boss_thread.start()
-
-    conns = []
-    for rank, encoding in ((0, "native"), (1, "portable")):
-        conn = socket.create_connection((coordinator.host, coordinator.port), timeout=5)
-        send_json(conn, {"op": "register", "rank": rank, "host": "127.0.0.1",
-                         "port": 1000 + rank, "encoding": encoding})
-        conn.settimeout(5)
-        conns.append(conn)
-    replies = [recv_json(c) for c in conns]
-    assert all(r["op"] == "error" for r in replies)
-    boss_thread.join(5)
-    assert isinstance(outcome.get("boss"), TransportError)
-    assert not isinstance(outcome.get("boss"), RankConflict)
-    for c in conns:
-        c.close()
+    native, portable = mesh_configs(2)
+    outcomes = [_join_in_background(config)
+                for config in (dataclasses.replace(native, hetero=True), portable)]
+    for thread, _ in outcomes:
+        thread.join(10)
+    acceptor = outcomes[1][1]
+    assert isinstance(acceptor.get("error"), TransportError)
+    assert not isinstance(acceptor["error"], RankConflict)
+    assert "mixed-encoding" in str(acceptor["error"])
+    if "ctx" in outcomes[0][1]:  # the dialer joined before its peer refused it
+        outcomes[0][1]["ctx"].finalize()
 
 
 def test_rendezvous_timeout_when_ranks_missing():
-    coordinator = Coordinator(2, timeout=0.3)
+    # Rank 1 waits for rank 0 to dial, and rank 0 never runs.
+    configs = mesh_configs(2, timeout=0.3)
+    _close_listeners(configs[:1])
     with pytest.raises(RendezvousTimeout):
-        coordinator.run()
+        connect_mesh(configs[1])
 
 
-def test_client_times_out_without_coordinator():
-    # A bound-but-unserved port: connect succeeds, no table ever arrives.
-    silent = socket.create_server(("127.0.0.1", 0))
-    host, port = silent.getsockname()
-    try:
-        config = WorldConfig(nprocs=2, backend=BackendKind.SOCKET_MESH,
-                             rendezvous=f"{host}:{port}", my_rank_hint=0, timeout=0.3)
+def test_a_peer_that_never_sends_its_hello_times_out():
+    configs = mesh_configs(2, timeout=0.3)
+    _close_listeners(configs[:1])
+    with socket.create_connection(("127.0.0.1", configs[1].ports[1]), timeout=5):
         with pytest.raises(RendezvousTimeout):
-            connect_mesh(config)
-    finally:
-        silent.close()
+            connect_mesh(configs[1])
 
 
 def test_client_requires_rank_and_address():
@@ -437,7 +415,7 @@ def test_client_requires_rank_and_address():
 
 
 def test_mesh_fifo_and_large_payload():
-    _, ctxs = _bring_up_world(2)
+    ctxs = make_mesh_world(2)
     try:
         blob = bytes(range(256)) * 1024  # 256 KiB crosses many TCP segments
 
@@ -460,33 +438,17 @@ def test_mesh_fifo_and_large_payload():
 
 def test_a_hello_split_across_two_writes_still_joins_the_mesh():
     # Rank 1 of a two-rank world accepts the mesh connection; rank 0 is
-    # played by hand and sends its 8-byte hello in two TCP segments.
-    coordinator = Coordinator(2, timeout=10.0)
-    boss = threading.Thread(target=coordinator.run, daemon=True)
-    boss.start()
-    joined = {}
-
-    def rank1():
-        try:
-            joined["ctx"] = connect_mesh(_mesh_config(coordinator, 2, 1))
-        except Exception as exc:  # surfaced below
-            joined["error"] = exc
-
-    acceptor = threading.Thread(target=rank1, daemon=True)
-    acceptor.start()
-    with socket.create_connection((coordinator.host, coordinator.port), timeout=5) as coord:
-        send_json(coord, {"op": "register", "rank": 0, "host": "127.0.0.1", "port": 1,
-                          "encoding": "native"})
-        table = recv_json(coord)
-    host, port = table["peers"][1]
-    with socket.create_connection((host, port), timeout=5) as dialer:
+    # played by hand and sends its hello in two TCP segments.
+    configs = mesh_configs(2)
+    _close_listeners(configs[:1])
+    acceptor, joined = _join_in_background(configs[1])
+    with socket.create_connection(("127.0.0.1", configs[1].ports[1]), timeout=5) as dialer:
         dialer.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        hello = struct.pack(">4sI", b"HELO", 0)
+        hello = _hello(0)
         dialer.sendall(hello[:3])
         time.sleep(0.2)
         dialer.sendall(hello[3:])
         acceptor.join(10)
-        boss.join(10)
         assert "error" not in joined, joined.get("error")
         ctx = joined["ctx"]
         try:

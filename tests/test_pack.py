@@ -515,6 +515,7 @@ _ALL_KINDS = TypeRegistry.from_idl("""
     record msg {
         head: leaf; raw: seq<u8>; trio: [u8; 3]; pair: [f64; 2]; flags: [bool; 2];
         names: seq<string>; shapes: seq<shape>; ids: seq<i64>;
+        reals: seq<f64>; singles: seq<f32>; one: [f32; 1];
     }
 """)
 _PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -561,11 +562,24 @@ _BAD_SCALARS = {
     PrimTag.I64: [Prim(PrimTag.I64, 2**63), Prim(PrimTag.I64, 1.5)],
     PrimTag.U64: [Prim(PrimTag.U64, 2**64), Str("7")],
     PrimTag.U8: [Prim(PrimTag.U8, 256), Prim(PrimTag.U32, 1)],
-    PrimTag.F32: [Prim(PrimTag.F32, 0.1), Prim(PrimTag.F32, 1e300)],
-    PrimTag.F64: [Prim(PrimTag.F64, "1.0"), Prim(PrimTag.F32, 1.0)],
+    PrimTag.F32: [Prim(PrimTag.F32, 0.1), Prim(PrimTag.F32, 1e300), Prim(PrimTag.F32, 10**400)],
+    PrimTag.F64: [Prim(PrimTag.F64, "1.0"), Prim(PrimTag.F32, 1.0), Prim(PrimTag.F64, 10**400)],
     PrimTag.BOOL: [Prim(PrimTag.BOOL, 1), Prim(PrimTag.U8, 0)],
     PrimTag.STRING: [Str("\ud800"), Prim(PrimTag.U8, 0)],
 }
+
+
+@pytest.mark.parametrize("encoding", [Encoding.NATIVE, Encoding.PORTABLE])
+@pytest.mark.parametrize("tag", [PrimTag.F32, PrimTag.F64])
+@pytest.mark.parametrize("kind, path", [("{}", "$"), ("seq<{}>", "$[1]"), ("[{}; 2]", "$[1]")])
+def test_an_integer_too_large_for_a_float_is_a_schema_mismatch(kind, path, tag, encoding):
+    huge = Prim(tag, -10**400)
+    value = huge if kind == "{}" else Seq([Prim(tag, 1), huge])
+    buf = Buffer(encoding)
+    with pytest.raises(SchemaMismatch) as err:
+        pack(buf, value, kind.format(tag.value))
+    assert err.value.path == path
+    assert buf.size == 0
 
 
 def _swap_leaf(kind, value, path, target, found):

@@ -78,12 +78,14 @@ def test_config_from_env_defaults_to_single_rank():
 
 
 def test_config_from_env_reads_launcher_variables():
-    env = {"PACKRUN_COORD": "127.0.0.1:9009", "PACKRUN_NPROCS": "4",
-           "PACKRUN_RANK": "2", "PACKRUN_HETERO": "1"}
+    env = {"PACKRUN_PORTS": "9009,9010,9011,9012", "PACKRUN_LISTEN_FD": "7",
+           "PACKRUN_READY_FD": "8", "PACKRUN_NPROCS": "4", "PACKRUN_RANK": "2",
+           "PACKRUN_HETERO": "1"}
     config = WorldConfig.from_env(env=env)
     assert config.backend is BackendKind.SOCKET_MESH
     assert (config.nprocs, config.my_rank_hint) == (4, 2)
-    assert config.rendezvous == "127.0.0.1:9009"
+    assert config.ports == (9009, 9010, 9011, 9012)
+    assert (config.listen_fd, config.ready_fd) == (7, 8)
     assert config.hetero
 
 
