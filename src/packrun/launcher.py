@@ -28,8 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._slots import Slot, install_slot
 from .mesh import LOOPBACK
-from .transport import (ENV_HETERO, ENV_LISTEN_FD, ENV_NPROCS, ENV_PORTS, ENV_RANK, ENV_READY_FD,
-                        ENV_TIMEOUT, BackendKind, InProcessWorld, RendezvousTimeout)
+from .transport import BackendKind, InProcessWorld, RendezvousTimeout, WorldConfig
 
 _log = logging.getLogger(__name__)
 
@@ -82,23 +81,6 @@ def launch(plan: LaunchPlan) -> List[int]:
 
 # ---------------------------------------------------------------------------
 # process backend
-
-
-def _child_env(plan: LaunchPlan, rank: int, ports: str, listen_fd: int,
-               ready_fd: int) -> Dict[str, str]:
-    env = dict(os.environ)
-    env.update(plan.per_rank_env)
-    env[ENV_RANK] = str(rank)
-    env[ENV_NPROCS] = str(plan.nprocs)
-    env[ENV_PORTS] = ports
-    env[ENV_LISTEN_FD] = str(listen_fd)
-    env[ENV_READY_FD] = str(ready_fd)
-    env[ENV_TIMEOUT] = str(plan.timeout)
-    if plan.hetero:
-        env[ENV_HETERO] = "1"
-    else:
-        env.pop(ENV_HETERO, None)
-    return env
 
 
 def _deadline(run_timeout: Optional[float]) -> Optional[float]:
@@ -163,16 +145,18 @@ def _launch_processes(plan: LaunchPlan) -> List[int]:
         ports = []
         for _ in range(plan.nprocs):
             with socket.create_server((LOOPBACK, 0), backlog=plan.nprocs) as listener:
-                ports.append(str(listener.getsockname()[1]))
+                ports.append(listener.getsockname()[1])
                 handed.append(listener.detach())
             read_end, write_end = os.pipe()
             ready.append(read_end)
             handed.append(write_end)
         for rank in range(plan.nprocs):
-            fds = handed[2 * rank:2 * rank + 2]
-            env = _child_env(plan, rank, ",".join(ports), *fds)
+            listen_fd, ready_fd = handed[2 * rank:2 * rank + 2]
+            config = WorldConfig(my_rank_hint=rank, hetero=plan.hetero, timeout=plan.timeout,
+                                 ports=tuple(ports), listen_fd=listen_fd, ready_fd=ready_fd)
+            env = {**os.environ, **plan.per_rank_env, **config.to_env()}
             try:
-                procs.append(subprocess.Popen(argv, env=env, pass_fds=fds))
+                procs.append(subprocess.Popen(argv, env=env, pass_fds=(listen_fd, ready_fd)))
             except OSError as exc:
                 raise SpawnFailure(rank, str(exc)) from exc
         _close(handed)  # the ranks hold the only copies, so a rank's exit ends its pipe
@@ -225,8 +209,7 @@ class _RankRunner(threading.Thread):
             traceback.print_exc()
             self.exit_code = 1
         finally:
-            if not self._ctx.finalized:
-                self._ctx.finalize()
+            self._ctx.finalize()
             install_slot(None)
 
 

@@ -27,6 +27,7 @@ import threading
 import time
 
 from .transport import (
+    InvalidRank,
     Mailbox,
     RankConflict,
     RendezvousTimeout,
@@ -56,7 +57,6 @@ class _MeshBackend:
         self._conns = conns
         self._mailbox = mailbox
         self._send_locks = {peer: threading.Lock() for peer in conns}
-        self._closed = False
         for peer, conn in conns.items():
             threading.Thread(target=self._read_loop, args=(peer, conn),
                              daemon=True, name=f"mesh-read-{rank}<-{peer}").start()
@@ -73,19 +73,13 @@ class _MeshBackend:
             return  # peer gone or stream torn down mid-frame; pending recvs time out
 
     def post(self, src: int, dest: int, comm_id: int, tag: int, payload, kind: int) -> None:
-        conn = self._conns.get(dest)
-        if conn is None:
-            raise TransportError(f"no connection to rank {dest}")
         try:
             with self._send_locks[dest]:
-                write_frame(conn, src, dest, comm_id, tag, payload, kind)
+                write_frame(self._conns[dest], src, dest, comm_id, tag, payload, kind)
         except OSError as exc:
             raise TransportError(f"connection to rank {dest} lost: {exc}") from exc
 
     def shutdown(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
         for conn in self._conns.values():
             try:
                 conn.shutdown(socket.SHUT_RDWR)
@@ -111,18 +105,22 @@ def connect_mesh(config: WorldConfig) -> TransportContext:
     """Join the world described by ``config``: dial the higher ranks, accept the lower.
 
     ``config.listen_fd`` (this rank's listener) and ``config.ready_fd`` are
-    taken over and closed on return, whether the mesh came up or not.
+    taken over and closed on return, whether the mesh came up or not.  A rank
+    outside ``config.ports`` raises InvalidRank; a missing listener raises
+    TransportError.
     """
-    rank, nprocs, hetero = config.my_rank_hint, config.nprocs, config.hetero
-    if rank is None or config.listen_fd is None or len(config.ports) != nprocs:
-        raise TransportError("socket mesh needs a rank, its listener and every rank's port")
+    rank, nprocs, hetero = config.my_rank_hint, len(config.ports), config.hetero
     total = config.timeout
     deadline = time.monotonic() + total
     conns: dict[int, socket.socket] = {}
     try:
         try:
+            if config.listen_fd is None:
+                raise TransportError("a mesh rank needs its listener")
             # closed once every peer is connected, so nobody else may dial in
             with socket.socket(fileno=config.listen_fd) as listener:
+                if rank not in range(nprocs):
+                    raise InvalidRank(rank)
                 for q in range(rank + 1, nprocs):
                     conns[q] = conn = socket.create_connection(
                         (LOOPBACK, config.ports[q]), timeout=_remaining(deadline, total))

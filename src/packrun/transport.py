@@ -59,7 +59,7 @@ NOT_MEMBER = _NotMember()  # comm_create's result for ranks outside the subset
 
 WORLD_COMM_ID = 0
 
-# Environment the launcher sets for each spawned rank (see WorldConfig.from_env)
+# A mesh rank's hand-over in its environment: WorldConfig.to_env writes it, from_env reads it
 ENV_RANK = "PACKRUN_RANK"
 ENV_NPROCS = "PACKRUN_NPROCS"
 ENV_PORTS = "PACKRUN_PORTS"
@@ -154,8 +154,8 @@ class BackendKind(Enum):
 
 @dataclass
 class WorldConfig:
-    nprocs: int = 1
-    backend: BackendKind = BackendKind.IN_PROCESS
+    """A rank's hand-over: with ``ports``, a socket mesh of ``len(ports)`` ranks, else one rank."""
+
     my_rank_hint: Optional[int] = None
     hetero: bool = False
     timeout: float = 10.0
@@ -175,8 +175,6 @@ class WorldConfig:
         if ports is None:
             return cls()
         return cls(
-            nprocs=int(env[ENV_NPROCS]),
-            backend=BackendKind.SOCKET_MESH,
             my_rank_hint=int(env[ENV_RANK]),
             hetero=env.get(ENV_HETERO, "0") == "1",
             timeout=float(env.get(ENV_TIMEOUT, cls.timeout)),
@@ -184,6 +182,18 @@ class WorldConfig:
             listen_fd=int(env[ENV_LISTEN_FD]),
             ready_fd=int(env[ENV_READY_FD]),
         )
+
+    def to_env(self) -> dict[str, str]:
+        """The variables ``from_env`` reads back as this mesh rank's config."""
+        return {
+            ENV_RANK: str(self.my_rank_hint),
+            ENV_NPROCS: str(len(self.ports)),  # for the rank's program; packrun counts the ports
+            ENV_PORTS: ",".join(str(port) for port in self.ports),
+            ENV_LISTEN_FD: str(self.listen_fd),
+            ENV_READY_FD: str(self.ready_fd),
+            ENV_HETERO: "1" if self.hetero else "0",
+            ENV_TIMEOUT: str(self.timeout),
+        }
 
 
 @dataclass(frozen=True)
@@ -246,15 +256,14 @@ class Mailbox:
         self._arrivals = 0
         self._closed = False
 
-    def put(self, env: Envelope) -> bool:
+    def put(self, env: Envelope) -> None:
         with self._cond:
             if self._closed:
-                return False
+                return
             key = (env.kind, env.comm_id, env.src, env.tag)
             self._queues.setdefault(key, []).append((self._arrivals, env))
             self._arrivals += 1
             self._cond.notify_all()
-            return True
 
     def take(self, kind: int, comm_id: int, src: Optional[int], tag: Optional[int],
              timeout: Optional[float] = None) -> Envelope:
@@ -546,17 +555,10 @@ def init(config: Optional[WorldConfig] = None) -> TransportContext:
     else:
         if config is None:
             config = WorldConfig.from_env()
-        if config.nprocs < 1:
-            raise TransportError("nprocs must be at least 1")
-        if config.my_rank_hint is not None and not 0 <= config.my_rank_hint < config.nprocs:
-            raise InvalidRank(config.my_rank_hint)
-        if config.backend is BackendKind.IN_PROCESS:
-            if config.nprocs != 1:
-                raise TransportError(
-                    "in-process worlds with nprocs > 1 are created by the thread launcher")
-            ctx = InProcessWorld(1, config.hetero).attach(0)
-        else:
+        if config.ports:
             from .mesh import connect_mesh
             ctx = connect_mesh(config)
+        else:
+            ctx = InProcessWorld(1, config.hetero).attach(config.my_rank_hint or 0)
     slot.transport_initialized = True
     return ctx

@@ -6,8 +6,8 @@ communicator, tag, payload length) and the payload.
 
 A frame costs no payload copy here on either side.  ``write_frame`` hands
 the header and the caller's payload buffer to one ``sendmsg``;
-``read_frame`` receives the payload with ``MSG_WAITALL`` straight into the
-``bytes`` object that becomes ``Envelope.payload``.
+``read_frame`` receives a payload of up to 16 MiB with ``MSG_WAITALL``
+straight into the ``bytes`` object that becomes ``Envelope.payload``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ KIND_DATA = 0
 KIND_CONTROL = 1
 
 MAX_PAYLOAD = 2**31 - 1
+_MAX_RECV = 16 << 20  # per recv: CPython allocates what it asks for before any byte arrives
 
 _HEADER = struct.Struct(">4sBBIIIII")  # magic, version, kind, src, dest, comm_id, tag, len
 HEADER_SIZE = _HEADER.size
@@ -87,15 +88,15 @@ def decode_header(header: bytes) -> tuple[int, int, int, int, int, int]:
 def recv_all(sock: socket.socket, n: int) -> bytes:
     """Read exactly n bytes, or b"" if the peer closed before the first byte.
 
-    On a blocking socket ``MSG_WAITALL`` returns all n bytes from one call,
-    and that object is returned as it is.  A socket with a timeout
-    (non-blocking underneath) or a stream that ends returns short reads,
-    which are joined.
+    On a blocking socket ``MSG_WAITALL`` returns up to 16 MiB from one call,
+    so n bytes up to that size are returned as that one object.  A larger
+    n, a socket with a timeout (non-blocking underneath) or a stream that
+    ends gives several reads, which are joined.
     """
     parts = []
     got = 0
     while got < n:
-        chunk = sock.recv(n - got, socket.MSG_WAITALL)
+        chunk = sock.recv(min(n - got, _MAX_RECV), socket.MSG_WAITALL)
         if not chunk:
             if got:
                 raise FrameError(f"connection closed mid-frame ({got} of {n} bytes)")

@@ -278,15 +278,15 @@ def make_world(nprocs: int, hetero: bool = False):
 def mesh_configs(nprocs: int, hetero: bool = False, timeout: float = 10.0):
     """One mesh config per rank, each holding a listener bound here, as the launcher binds them."""
     from packrun.mesh import LOOPBACK
-    from packrun.transport import BackendKind, WorldConfig
+    from packrun.transport import WorldConfig
 
     fds, ports = [], []
     for _ in range(nprocs):
         with socket.create_server((LOOPBACK, 0), backlog=nprocs) as listener:
             ports.append(listener.getsockname()[1])
             fds.append(listener.detach())
-    return [WorldConfig(nprocs=nprocs, backend=BackendKind.SOCKET_MESH, my_rank_hint=rank,
-                        hetero=hetero, timeout=timeout, ports=tuple(ports), listen_fd=fd)
+    return [WorldConfig(my_rank_hint=rank, hetero=hetero, timeout=timeout, ports=tuple(ports),
+                        listen_fd=fd)
             for rank, fd in enumerate(fds)]
 
 

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from packrun import transport
-from packrun.launcher import LaunchError, LaunchPlan, SpawnFailure, _child_env, launch
+from packrun.launcher import LaunchError, LaunchPlan, SpawnFailure, launch
 from packrun.transport import BackendKind, RendezvousTimeout, WorldConfig
 
 from support import pids_running, program
@@ -83,6 +83,19 @@ def test_hetero_flag_reaches_every_rank(tmp_path, backend):
     for rank in range(2):
         text = (tmp_path / f"rank{rank}.txt").read_text().split()
         assert text[2] == "1"
+
+
+@pytest.mark.parametrize("via", ["per_rank_env", "inherited"])
+def test_a_native_world_stays_native_whatever_packrun_hetero_says(tmp_path, monkeypatch, via):
+    extra = {"PACKRUN_HETERO": "1"}
+    if via == "inherited":
+        monkeypatch.setenv("PACKRUN_HETERO", "1")
+        extra = {}
+    codes = launch(plan(2, "envdump.py", str(tmp_path), backend=PROCESS, hetero=False,
+                        per_rank_env=extra, run_timeout=30.0))
+    assert codes == [0, 0]
+    for rank in range(2):
+        assert (tmp_path / f"rank{rank}.txt").read_text().split() == [str(rank), "2", "0"]
 
 
 def test_rank_env_is_deterministic(tmp_path):
@@ -189,9 +202,20 @@ def test_run_timeout_is_one_deadline_for_all_ranks(backend):
         assert not runner.is_alive()
 
 
-def test_rendezvous_window_reaches_every_rank():
-    env = _child_env(LaunchPlan(nprocs=2, program="x.py", timeout=30.0), 1, "9,10", 7, 8)
-    assert WorldConfig.from_env(env).timeout == 30.0
+def test_rendezvous_window_reaches_every_rank(tmp_path):
+    script = tmp_path / "window.py"
+    script.write_text(
+        "import sys\n"
+        "from packrun.spmd import spmd_enter\n"
+        "from packrun.transport import WorldConfig\n"
+        "with spmd_enter() as sctx:\n"
+        "    with open(f'{sys.argv[1]}/rank{sctx.myid}.txt', 'w') as out:\n"
+        "        out.write(str(WorldConfig.from_env().timeout))\n")
+    codes = launch(LaunchPlan(nprocs=2, program=str(script), args=(str(tmp_path),),
+                              backend=PROCESS, timeout=30.0, run_timeout=30.0))
+    assert codes == [0, 0]
+    assert [(tmp_path / f"rank{r}.txt").read_text() for r in range(2)] == ["30.0"] * 2
+    env = WorldConfig(my_rank_hint=1, ports=(9, 10), listen_fd=7, ready_fd=8).to_env()
     del env[transport.ENV_TIMEOUT]
     assert WorldConfig.from_env(env).timeout == 10.0
 

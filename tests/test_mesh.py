@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from packrun.mesh import _MeshBackend, connect_mesh
 from packrun.transport import (
-    BackendKind,
+    InvalidRank,
     Mailbox,
     RankConflict,
     RendezvousTimeout,
@@ -254,6 +254,38 @@ def test_read_frame_of_a_big_frame_allocates_about_one_payload():
     assert peak < 1.25 * _BIG, f"read_frame peaked at {peak / _BIG:.2f} payloads"
 
 
+def _read_frame_peak(stream: bytes):
+    """read_frame on a peer that writes ``stream`` and closes; (frame or error, traced peak)."""
+    writer, reader = socket.socketpair()
+    tracemalloc.start()
+    try:
+        feeder = _feed(writer, [stream])
+        with reader:
+            try:
+                got = read_frame(reader)
+            except FrameError as exc:
+                got = exc
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    feeder.join(10)
+    return got, peak
+
+
+def test_a_header_declaring_a_huge_payload_does_not_allocate_it():
+    header = encode_frame(Envelope(0, 1, 0, 0, b""))[:HEADER_SIZE - 4] + struct.pack(">I", 256 << 20)
+    got, peak = _read_frame_peak(header + bytes(8))
+    assert isinstance(got, FrameError)
+    assert peak < 17 << 20, f"read_frame peaked at {peak / (1 << 20):.1f} MiB"
+
+
+def test_a_frame_above_the_recv_cap_reads_back_whole():
+    env = Envelope(0, 1, 0, 0, random.Random(24).randbytes(24 << 20))
+    got, peak = _read_frame_peak(encode_frame(env))
+    assert got == env
+    assert peak < 2 * len(env.payload) + (16 << 20), f"read_frame peaked at {peak / (1 << 20):.1f} MiB"
+
+
 def test_write_frame_allocates_nothing_of_payload_size():
     payload = bytearray(_BIG)
     writer, reader = socket.socketpair()
@@ -411,7 +443,20 @@ def test_a_peer_that_never_sends_its_hello_times_out():
 
 def test_client_requires_rank_and_address():
     with pytest.raises(TransportError):
-        connect_mesh(WorldConfig(nprocs=2, backend=BackendKind.SOCKET_MESH))
+        connect_mesh(WorldConfig(my_rank_hint=0, ports=(1, 2)))
+
+
+@pytest.mark.parametrize("rank", [None, -1, 2])
+def test_a_rank_outside_the_ports_is_refused_and_its_descriptors_closed(rank):
+    config, other = mesh_configs(2)
+    _close_listeners([other])
+    read_end, ready_fd = os.pipe()
+    with open(read_end, "rb") as ready:
+        with pytest.raises(InvalidRank):
+            connect_mesh(dataclasses.replace(config, my_rank_hint=rank, ready_fd=ready_fd))
+        assert ready.read() == b""  # the write end is closed, and nothing was written
+    with pytest.raises(OSError):
+        os.fstat(config.listen_fd)
 
 
 def test_mesh_fifo_and_large_payload():

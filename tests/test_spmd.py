@@ -27,7 +27,7 @@ def _stage(ctx):
 
 
 def test_enter_populates_identity(fresh_slot):
-    sctx = spmd_enter(WorldConfig(nprocs=1))
+    sctx = spmd_enter(WorldConfig())
     assert (sctx.myid, sctx.nprocs) == (0, 1)
     assert sctx.active
     spmd_exit(sctx)
@@ -36,20 +36,20 @@ def test_enter_populates_identity(fresh_slot):
 
 
 def test_second_enter_while_active(fresh_slot):
-    spmd_enter(WorldConfig(nprocs=1))
+    spmd_enter(WorldConfig())
     with pytest.raises(AlreadyActive):
-        spmd_enter(WorldConfig(nprocs=1))
+        spmd_enter(WorldConfig())
 
 
 def test_reenter_after_exit_is_still_rejected(fresh_slot):
-    sctx = spmd_enter(WorldConfig(nprocs=1))
+    sctx = spmd_enter(WorldConfig())
     spmd_exit(sctx)
     with pytest.raises(AlreadyActive):
-        spmd_enter(WorldConfig(nprocs=1))
+        spmd_enter(WorldConfig())
 
 
 def test_exit_is_idempotent(fresh_slot):
-    sctx = spmd_enter(WorldConfig(nprocs=1))
+    sctx = spmd_enter(WorldConfig())
     calls = []
     original = sctx.transport.finalize
     sctx.transport.finalize = lambda: (calls.append(1), original())[1]
@@ -61,7 +61,7 @@ def test_exit_is_idempotent(fresh_slot):
 def test_with_block_finalizes_on_error(fresh_slot):
     captured = {}
     with pytest.raises(RuntimeError, match="mid-scope"):
-        with spmd_enter(WorldConfig(nprocs=1)) as sctx:
+        with spmd_enter(WorldConfig()) as sctx:
             captured["ctx"] = sctx
             raise RuntimeError("mid-scope")
     assert captured["ctx"].transport.finalized
@@ -69,7 +69,7 @@ def test_with_block_finalizes_on_error(fresh_slot):
 
 
 def test_exactly_once_finalize_across_paths(fresh_slot):
-    sctx = spmd_enter(WorldConfig(nprocs=1))
+    sctx = spmd_enter(WorldConfig())
     calls = []
     original = sctx.transport.finalize
     sctx.transport.finalize = lambda: (calls.append(1), original())[1]
@@ -85,7 +85,7 @@ def test_exactly_once_finalize_across_paths(fresh_slot):
 
 
 def test_at_exit_callbacks_run_lifo_before_finalize(fresh_slot):
-    sctx = spmd_enter(WorldConfig(nprocs=1))
+    sctx = spmd_enter(WorldConfig())
     order = []
     sctx.at_exit(lambda: order.append(("first", sctx.transport.finalized)))
     sctx.at_exit(lambda: order.append(("second", sctx.transport.finalized)))
@@ -94,7 +94,7 @@ def test_at_exit_callbacks_run_lifo_before_finalize(fresh_slot):
 
 
 def test_failing_callback_cannot_block_finalize(fresh_slot):
-    sctx = spmd_enter(WorldConfig(nprocs=1))
+    sctx = spmd_enter(WorldConfig())
     ran = []
     sctx.at_exit(lambda: ran.append("inner"))
     sctx.at_exit(lambda: 1 / 0)
@@ -109,7 +109,7 @@ def test_enter_at_import_time_is_rejected(tmp_path, fresh_slot):
     module_file.write_text(
         "from packrun.spmd import spmd_enter\n"
         "from packrun.transport import WorldConfig\n"
-        "CTX = spmd_enter(WorldConfig(nprocs=1))\n")
+        "CTX = spmd_enter(WorldConfig())\n")
     sys.path.insert(0, str(tmp_path))
     try:
         with pytest.raises(GlobalScopeError) as err:

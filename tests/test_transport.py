@@ -7,13 +7,13 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from packrun._slots import Slot, install_slot
 from packrun.msgbuf import MsgBuf
 from packrun.transport import (
     ANY,
     AlreadyInitialized,
-    BackendKind,
     Communicator,
     EmptySubset,
     Finalized,
@@ -45,16 +45,21 @@ def fresh_slot():
 
 
 def test_single_rank_world(fresh_slot):
-    ctx = init(WorldConfig(nprocs=1))
+    ctx = init(WorldConfig())
     assert ctx.rank == 0
     assert ctx.nprocs == 1
     assert ctx.world.size == 1
 
 
+def test_a_world_without_ports_has_only_rank_0(fresh_slot):
+    with pytest.raises(InvalidRank):
+        init(WorldConfig(my_rank_hint=1))
+
+
 def test_second_init_rejected(fresh_slot):
-    init(WorldConfig(nprocs=1))
+    init(WorldConfig())
     with pytest.raises(AlreadyInitialized):
-        init(WorldConfig(nprocs=1))
+        init(WorldConfig())
 
 
 def test_four_rank_world_identities():
@@ -72,9 +77,7 @@ def test_rank_can_only_attach_once():
 
 
 def test_config_from_env_defaults_to_single_rank():
-    config = WorldConfig.from_env(env={})
-    assert config.nprocs == 1
-    assert config.backend is BackendKind.IN_PROCESS
+    assert WorldConfig.from_env(env={}) == WorldConfig()
 
 
 def test_config_from_env_reads_launcher_variables():
@@ -82,11 +85,20 @@ def test_config_from_env_reads_launcher_variables():
            "PACKRUN_READY_FD": "8", "PACKRUN_NPROCS": "4", "PACKRUN_RANK": "2",
            "PACKRUN_HETERO": "1"}
     config = WorldConfig.from_env(env=env)
-    assert config.backend is BackendKind.SOCKET_MESH
-    assert (config.nprocs, config.my_rank_hint) == (4, 2)
+    assert config.my_rank_hint == 2
     assert config.ports == (9009, 9010, 9011, 9012)
     assert (config.listen_fd, config.ready_fd) == (7, 8)
     assert config.hetero
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(0, 2**16), st.lists(st.integers(1, 2**16 - 1), min_size=1).map(tuple),
+       st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1),
+       st.floats(0, allow_nan=False, allow_infinity=False), st.booleans())
+def test_config_to_env_is_read_back_by_from_env(rank, ports, listen_fd, ready_fd, timeout, hetero):
+    config = WorldConfig(my_rank_hint=rank, hetero=hetero, timeout=timeout, ports=ports,
+                         listen_fd=listen_fd, ready_fd=ready_fd)
+    assert WorldConfig.from_env(config.to_env()) == config
 
 
 # ---------------------------------------------------------------------------
