@@ -10,175 +10,48 @@ The pieces, bottom up:
 - spmd: scoped enter/exit for one rank of a run.
 - slave: the master-slave task farm.
 - launcher / cli: start N ranks (mprun) and the utility tools.
+
+A public name's submodule is imported on the first use of that name (PEP 562),
+so a rank loads only the submodules it uses.
 """
 
-from .idl import (
-    Arm,
-    DuplicateField,
-    DuplicateType,
-    FieldDescriptor,
-    FixedArray,
-    IdlError,
-    IdlSyntaxError,
-    IllegalRecursion,
-    Named,
-    Primitive,
-    PrimTag,
-    RecordType,
-    Sequence,
-    TypeRegistry,
-    UnresolvedType,
-    VariantType,
-    format_descriptor,
-    format_descriptors,
-    format_kind,
-    parse_idl,
-    parse_kind,
-)
-from .launcher import LaunchError, LaunchPlan, SpawnFailure, launch
-from .msgbuf import MalformedSegmentTable, MsgBuf
-from .pack import (
-    Buffer,
-    Encoding,
-    MalformedBool,
-    MalformedByte,
-    MalformedString,
-    MalformedVariantTag,
-    PackError,
-    Prim,
-    Rec,
-    SchemaMismatch,
-    Seq,
-    Str,
-    Truncated,
-    UnknownType,
-    Var,
-    decode_value,
-    encode_value,
-    infer_kind,
-    pack,
-    unpack,
-)
-from .slave import (
-    FARM_TAG,
-    STOP,
-    DuplicateSelector,
-    HandlerError,
-    HandlerTable,
-    MasterPool,
-    NoIdleSlave,
-    NoOutstanding,
-    NoSlaves,
-    SlaveError,
-    TableMismatch,
-    slave_loop,
-)
-from .spmd import AlreadyActive, GlobalScopeError, SpmdContext, SpmdError, spmd_enter, spmd_exit
-from .transport import (
-    ANY,
-    NOT_MEMBER,
-    AlreadyInitialized,
-    BackendKind,
-    Communicator,
-    EmptySubset,
-    Finalized,
-    InvalidRank,
-    InvalidRoot,
-    RankConflict,
-    RecvTimeout,
-    RendezvousTimeout,
-    SegmentCountMismatch,
-    SelfSend,
-    TransportContext,
-    TransportError,
-    WorldConfig,
-    init,
-)
+import importlib
+
+# The submodule `pack` and its function `pack` share a name: importing the
+# submodule binds the module to `packrun.pack`, and `__getattr__` never runs for
+# a name that is bound. Bind the function over it once, before anything else can.
+from .pack import pack
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ANY",
-    "AlreadyActive",
-    "AlreadyInitialized",
-    "Arm",
-    "BackendKind",
-    "Buffer",
-    "Communicator",
-    "DuplicateField",
-    "DuplicateSelector",
-    "DuplicateType",
-    "EmptySubset",
-    "Encoding",
-    "FARM_TAG",
-    "FieldDescriptor",
-    "Finalized",
-    "FixedArray",
-    "GlobalScopeError",
-    "HandlerError",
-    "HandlerTable",
-    "IdlError",
-    "IdlSyntaxError",
-    "IllegalRecursion",
-    "InvalidRank",
-    "InvalidRoot",
-    "LaunchError",
-    "LaunchPlan",
-    "MalformedBool",
-    "MalformedByte",
-    "MalformedSegmentTable",
-    "MalformedString",
-    "MalformedVariantTag",
-    "MasterPool",
-    "MsgBuf",
-    "NOT_MEMBER",
-    "Named",
-    "NoIdleSlave",
-    "NoOutstanding",
-    "NoSlaves",
-    "PackError",
-    "Prim",
-    "PrimTag",
-    "Primitive",
-    "RankConflict",
-    "Rec",
-    "RecordType",
-    "RecvTimeout",
-    "RendezvousTimeout",
-    "STOP",
-    "SchemaMismatch",
-    "SegmentCountMismatch",
-    "SelfSend",
-    "Seq",
-    "Sequence",
-    "SlaveError",
-    "SpawnFailure",
-    "SpmdContext",
-    "SpmdError",
-    "Str",
-    "TableMismatch",
-    "Truncated",
-    "TransportContext",
-    "TransportError",
-    "TypeRegistry",
-    "UnknownType",
-    "UnresolvedType",
-    "Var",
-    "VariantType",
-    "WorldConfig",
-    "decode_value",
-    "encode_value",
-    "format_descriptor",
-    "format_descriptors",
-    "format_kind",
-    "infer_kind",
-    "init",
-    "launch",
-    "pack",
-    "parse_idl",
-    "parse_kind",
-    "slave_loop",
-    "spmd_enter",
-    "spmd_exit",
-    "unpack",
-]
+_EXPORTS = {
+    "idl": "Arm DuplicateField DuplicateType FieldDescriptor FixedArray IdlError IdlSyntaxError"
+           " IllegalRecursion Named Primitive PrimTag RecordType Sequence TypeRegistry"
+           " UnresolvedType VariantType format_descriptor format_descriptors format_kind"
+           " parse_idl parse_kind",
+    "launcher": "LaunchError LaunchPlan SpawnFailure launch",
+    "msgbuf": "MalformedSegmentTable MsgBuf",
+    "pack": "Buffer Encoding MalformedBool MalformedByte MalformedString MalformedVariantTag"
+            " PackError Prim Rec SchemaMismatch Seq Str Truncated UnknownType Var decode_value"
+            " encode_value infer_kind pack unpack",
+    "slave": "FARM_TAG STOP DuplicateSelector HandlerError HandlerTable MasterPool NoIdleSlave"
+             " NoOutstanding NoSlaves SlaveError TableMismatch slave_loop",
+    "spmd": "AlreadyActive GlobalScopeError SpmdContext SpmdError spmd_enter spmd_exit",
+    "transport": "ANY NOT_MEMBER AlreadyInitialized BackendKind Communicator EmptySubset Finalized"
+                 " InvalidRank InvalidRoot RankConflict RecvTimeout RendezvousTimeout"
+                 " SegmentCountMismatch SelfSend TransportContext TransportError WorldConfig init",
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name):
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -10,10 +10,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .bench import bench_pack, demo_taskfarm
 from .idl import IdlError, TypeRegistry, format_descriptors
 from .launcher import LaunchError, LaunchPlan, launch
-from .slave import SlaveError
 from .transport import BackendKind, TransportError
 
 
@@ -113,6 +111,7 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
                              help="also time Portable pack of seq<f64>")
     ns = parser.parse_args(sys.argv[1:] if argv is None else argv)
 
+    from .bench import bench_pack
     try:
         bench_pack(ns.size, ns.reps, portable=ns.portable)
     except ValueError as exc:
@@ -135,6 +134,8 @@ def demo_main(argv: Optional[List[str]] = None) -> int:
                              help="duration of each job (default: 100)")
     ns = parser.parse_args(sys.argv[1:] if argv is None else argv)
 
+    from .bench import demo_taskfarm
+    from .slave import SlaveError
     try:
         demo_taskfarm(ns.jobs, ns.workers, job_ms=ns.job_ms)
     except ValueError as exc:

@@ -14,7 +14,6 @@ import statistics
 import sys
 import time
 
-from packrun.launcher import LaunchPlan, launch
 from packrun.transport import BackendKind, init
 
 _RANK_FLAG = "--rank"
@@ -24,6 +23,7 @@ def main(argv: list) -> None:
     if argv[:1] == [_RANK_FLAG]:
         init().finalize()
         return
+    from packrun.launcher import LaunchPlan, launch
     repeats = int(argv[0]) if argv else 10
     if repeats < 2:
         raise SystemExit("REPEATS must be at least 2")
