@@ -11,8 +11,6 @@ import sys
 from typing import List, Optional
 
 from .idl import IdlError, TypeRegistry, format_descriptors
-from .launcher import LaunchError, LaunchPlan, launch
-from .transport import BackendKind, TransportError
 
 
 def _exit_status(codes: List[int]) -> int:
@@ -55,6 +53,9 @@ def mprun_main(argv: Optional[List[str]] = None) -> int:
         parser.error("-n must be at least 1")
     if not tail:
         parser.error("expected -- PROG [ARGS...] after the options")
+
+    from .launcher import LaunchError, LaunchPlan, launch
+    from .transport import BackendKind, TransportError
 
     plan = LaunchPlan(nprocs=ns.nprocs, program=tail[0], args=tuple(tail[1:]),
                       backend=BackendKind(ns.backend), timeout=ns.timeout,
@@ -136,12 +137,13 @@ def demo_main(argv: Optional[List[str]] = None) -> int:
 
     from .bench import demo_taskfarm
     from .slave import SlaveError
+    from .transport import TransportError
     try:
         demo_taskfarm(ns.jobs, ns.workers, job_ms=ns.job_ms)
     except ValueError as exc:
         print(f"demo: {exc}", file=sys.stderr)
         return 2
-    except (SlaveError, TransportError, LaunchError) as exc:
+    except (SlaveError, TransportError) as exc:
         print(f"demo: {exc}", file=sys.stderr)
         return 1
     return 0

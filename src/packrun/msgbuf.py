@@ -104,25 +104,25 @@ class MsgBuf:
         return unpack(self._buf, kind, self._registry)
 
     def put_i32(self, v: int) -> "MsgBuf":
-        return self.put(Prim(_I32, v))
+        return self.put(Prim(_I32, v), "i32")
 
     def put_u32(self, v: int) -> "MsgBuf":
-        return self.put(Prim(_U32, v))
+        return self.put(Prim(_U32, v), "u32")
 
     def put_i64(self, v: int) -> "MsgBuf":
-        return self.put(Prim(_I64, v))
+        return self.put(Prim(_I64, v), "i64")
 
     def put_f64(self, v: float) -> "MsgBuf":
-        return self.put(Prim(_F64, v))
+        return self.put(Prim(_F64, v), "f64")
 
     def put_bool(self, v: bool) -> "MsgBuf":
-        return self.put(Prim(_BOOL, v))
+        return self.put(Prim(_BOOL, v), "bool")
 
     def put_str(self, v: str) -> "MsgBuf":
-        return self.put(Str(v))
+        return self.put(Str(v), "string")
 
     def put_bytes(self, v: bytes) -> "MsgBuf":
-        return self.put(Seq(v))
+        return self.put(Seq(v), "seq<u8>")
 
     def take_i32(self) -> int:
         return self.take("i32").value

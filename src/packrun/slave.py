@@ -96,17 +96,14 @@ class HandlerTable:
     """
 
     def __init__(self) -> None:
-        self._names: List[str] = []
-        self._handlers: List[Handler] = []
+        self._entries: List[Tuple[str, Handler]] = []
         self._index: Dict[str, int] = {}
 
     def register(self, name: str, fn: Handler) -> int:
         if name in self._index:
             raise DuplicateSelector(name)
-        index = len(self._names)
-        self._names.append(name)
-        self._handlers.append(fn)
-        self._index[name] = index
+        index = self._index[name] = len(self._entries)
+        self._entries.append((name, fn))
         return index
 
     def handler(self, name: str) -> Callable[[Handler], Handler]:
@@ -125,21 +122,21 @@ class HandlerTable:
             raise SlaveError(f"no handler registered under {name!r}") from None
 
     def lookup(self, index: int) -> Tuple[str, Handler]:
-        return self._names[index], self._handlers[index]
+        return self._entries[index]
 
     @property
     def names(self) -> Tuple[str, ...]:
-        return tuple(self._names)
+        return tuple(name for name, _ in self._entries)
 
     def digest(self) -> bytes:
         h = hashlib.sha256()
-        for name in self._names:
+        for name in self.names:
             h.update(name.encode("utf-8"))
             h.update(b"\x00")
         return h.digest()
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self._entries)
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -151,12 +148,10 @@ def request_frame(selector: int, args: bytes = b"") -> bytes:
 
 
 def _context_of(ctx_or_spmd) -> TransportContext:
-    transport = getattr(ctx_or_spmd, "transport", None)
-    if isinstance(transport, TransportContext):
-        return transport
-    if isinstance(ctx_or_spmd, TransportContext):
-        return ctx_or_spmd
-    raise TypeError("expected a TransportContext or an active spmd context")
+    ctx = getattr(ctx_or_spmd, "transport", ctx_or_spmd)
+    if not isinstance(ctx, TransportContext):
+        raise TypeError("expected a TransportContext or an active spmd context")
+    return ctx
 
 
 def _exchange_digest(ctx: TransportContext, table: HandlerTable) -> List[int]:
@@ -188,21 +183,23 @@ def slave_loop(sctx, table: HandlerTable) -> int:
     _exchange_digest(ctx, table)
 
     world = ctx.world
+
+    def reply(status: int, body: bytes = b"") -> None:
+        ctx.send(world, 0, FARM_TAG, bytes([status]) + receipt + body)
+
     handled = 0
     while True:
         _, _, payload = ctx.recv(world, source=0, tag=FARM_TAG)
+        receipt = b""  # STOP and a short frame are answered without one
         if len(payload) < _SELECTOR.size:
-            ctx.send(world, 0, FARM_TAG,
-                     bytes([_REPLY_SHORT_FRAME]) + b"short request frame")
+            reply(_REPLY_SHORT_FRAME, b"short request frame")
             continue
         (selector,) = _SELECTOR.unpack_from(payload)
         if selector == STOP:
             break
         receipt = hashlib.sha256(payload).digest()
         if selector >= len(table):
-            diag = f"unknown selector {selector}"
-            ctx.send(world, 0, FARM_TAG,
-                     bytes([_REPLY_UNKNOWN_SELECTOR]) + receipt + diag.encode("utf-8"))
+            reply(_REPLY_UNKNOWN_SELECTOR, f"unknown selector {selector}".encode("utf-8"))
             continue
         _, fn = table.lookup(selector)
         buf = MsgBuf(ctx)
@@ -210,13 +207,11 @@ def slave_loop(sctx, table: HandlerTable) -> int:
         try:
             fn(buf)
         except Exception as exc:
-            diag = f"{type(exc).__name__}: {exc}"
-            ctx.send(world, 0, FARM_TAG,
-                     bytes([_REPLY_HANDLER_ERROR]) + receipt + diag.encode("utf-8"))
+            reply(_REPLY_HANDLER_ERROR, f"{type(exc).__name__}: {exc}".encode("utf-8"))
             continue
-        ctx.send(world, 0, FARM_TAG, bytes([_REPLY_OK]) + receipt + buf.data)
+        reply(_REPLY_OK, buf.data)
         handled += 1
-    ctx.send(world, 0, FARM_TAG, bytes([_REPLY_STOPPED]))
+    reply(_REPLY_STOPPED)
     return handled
 
 
@@ -225,8 +220,9 @@ class MasterPool:
 
     Tracks which slaves are idle, dispatches requests to the lowest idle
     rank, and collects replies in completion order. Use as a context
-    manager so shutdown always runs: it drains outstanding replies, sends
-    STOP to every slave, and publishes the per-slave receipt logs it kept.
+    manager so shutdown always runs: it sends STOP to every slave, reads
+    every outstanding reply on the way to each STOP answer, and publishes
+    the per-slave receipt logs it kept.
     """
 
     def __init__(self, sctx, table: HandlerTable) -> None:
@@ -251,10 +247,6 @@ class MasterPool:
     @property
     def nslaves(self) -> int:
         return len(self._slaves)
-
-    @property
-    def idle(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._idle))
 
     @property
     def outstanding(self) -> int:
@@ -317,25 +309,21 @@ class MasterPool:
         for rank in ranks:
             self._ctx.send(self._ctx.world, rank, FARM_TAG, stop)
         running = set(ranks)
-        while running:  # late replies still log their receipts
+        while running:  # a slave answers in order: replies in flight log their receipts first
             src, status, _ = self._reply()
             if status == _REPLY_STOPPED:
                 running.discard(src)
+        self._idle.update(ranks)
         self.receipts = self._receipts
 
     def shutdown(self) -> None:
-        """Drain outstanding replies, stop every slave, collect receipts.
+        """Stop every slave, reading each outstanding reply, and collect receipts.
 
-        Idempotent; errors raised by late replies are swallowed because
-        teardown must reach every slave.
+        Idempotent. A late reply only logs its receipt, error or not,
+        because teardown must reach every slave.
         """
         if self._done:
             return
-        while self.outstanding:
-            try:
-                self.get_returnv()
-            except HandlerError:
-                pass
         self._stop_ranks(self._slaves)
         self._done = True
 
@@ -344,8 +332,12 @@ class MasterPool:
 
         Dispatches each job exactly once, keeping every slave busy while
         jobs remain, and returns replies ordered by job index. A failed
-        job raises HandlerError with .job set to its index.
+        job raises HandlerError with .job set to its index. The pool must
+        have no request in flight: otherwise SlaveError is raised and
+        nothing is dispatched, and get_returnv still collects those replies.
         """
+        if self.outstanding:
+            raise SlaveError(f"run_joblist needs an idle pool; {self.outstanding} request(s) in flight")
         jobs = list(jobs)
         if not jobs:
             return []

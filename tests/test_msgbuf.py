@@ -4,7 +4,7 @@ import pytest
 
 from packrun.idl import PrimTag, TypeRegistry
 from packrun.msgbuf import MalformedSegmentTable, MsgBuf
-from packrun.pack import Encoding, Prim, Rec, Truncated
+from packrun.pack import Buffer, Encoding, Prim, Rec, Seq, Str, Truncated, pack
 from packrun.transport import NOT_MEMBER, SegmentCountMismatch, SelfSend
 from support import make_world, run_ranks
 
@@ -221,3 +221,24 @@ def test_bytes_helpers_round_trip():
     buf = MsgBuf(c1).get(timeout=5)
     assert buf.take_bytes() == payload
     assert buf.take_bool() is True
+
+
+PUT_HELPERS = {  # helper: (its argument, the value pack infers the same kind from)
+    "put_i32": (-7, Prim(PrimTag.I32, -7)),
+    "put_u32": (2**32 - 1, Prim(PrimTag.U32, 2**32 - 1)),
+    "put_i64": (-2**40, Prim(PrimTag.I64, -2**40)),
+    "put_f64": (0.1, Prim(PrimTag.F64, 0.1)),
+    "put_bool": (True, Prim(PrimTag.BOOL, True)),
+    "put_str": ("h\u00e9llo", Str("h\u00e9llo")),
+    "put_bytes": (bytes(range(7)), Seq(bytes(range(7)))),
+}
+
+
+@pytest.mark.parametrize("hetero", [False, True], ids=["native", "portable"])
+@pytest.mark.parametrize("helper", list(PUT_HELPERS))
+def test_each_put_helper_writes_the_bytes_of_its_inferred_kind(helper, hetero):
+    arg, value = PUT_HELPERS[helper]
+    _, (ctx,) = make_world(1, hetero)
+    buf = MsgBuf(ctx)
+    getattr(buf, helper)(arg)
+    assert buf.data == pack(Buffer(buf.encoding), value).data

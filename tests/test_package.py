@@ -90,7 +90,8 @@ def test_threads_importing_at_once_get_the_same_objects():
 @pytest.mark.parametrize("line, absent", [
     ("from packrun import MsgBuf, TypeRegistry, spmd_enter, spmd_exit", LAUNCH_AND_FARM),
     ("from packrun.msgbuf import MsgBuf; from packrun.spmd import spmd_enter", LAUNCH_AND_FARM),
-    ("import packrun.cli", ("packrun.bench", "packrun.slave")),
+    ("import packrun.cli", ("packrun.bench", "packrun.slave", "packrun.launcher", "packrun.mesh",
+                            "packrun.transport", "subprocess")),
 ], ids=["perfbench-rank", "demo-rank", "cli"])
 def test_an_import_loads_only_what_it_uses(line, absent):
     loaded = fresh(f"{line}; import json, sys; print(json.dumps(list(sys.modules)))")

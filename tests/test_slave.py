@@ -252,11 +252,13 @@ def test_shutdown_drains_outstanding_replies():
         with MasterPool(ctx, table) as pool:
             for i in range(4):
                 pool.exec(pool.request("square").put_i32(i))
-        return True
+        with pytest.raises(NoOutstanding):
+            pool.get_returnv()
+        return sorted(len(r) for r in pool.receipts.values()), pool.outstanding
 
     results = farm(5, master)
-    assert results[0] is True
-    assert all(results[r] in (0, 1) for r in range(1, 5))
+    assert results[0] == ([1, 1, 1, 1], 0)
+    assert results[1:] == [1, 1, 1, 1]
 
 
 def test_slave_loop_returns_handled_count():
@@ -318,6 +320,20 @@ def test_run_joblist_failure_carries_job_index():
             return info.value.job
 
     assert farm(2, master)[0] == 2
+
+
+def test_run_joblist_with_a_request_in_flight_dispatches_nothing():
+    def master(ctx, table):
+        with MasterPool(ctx, table) as pool:
+            pool.exec(pool.request("square").put_i32(7))
+            with pytest.raises(SlaveError, match="1 request"):
+                pool.run_joblist("square", [MsgBuf(ctx).put_i32(v) for v in range(3)])
+            assert pool.outstanding == 1
+            rank, reply = pool.get_returnv()
+            return rank, reply.take_i64()
+
+    results = farm(3, master)
+    assert results == [(1, 49), 1, 0]
 
 
 def test_run_joblist_fewer_jobs_than_slaves():
