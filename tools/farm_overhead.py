@@ -29,7 +29,7 @@ def _table() -> HandlerTable:
     return table
 
 
-def _row(name: str, samples: list) -> str:
+def _summary(name: str, samples: list) -> str:
     q1, median, q3 = statistics.quantiles(samples, n=4)
     return f"{name}_median_us={median:.1f} {name}_q1_us={q1:.1f} {name}_q3_us={q3:.1f}"
 
@@ -56,7 +56,7 @@ def farm_overhead(slaves: int, jobs: int) -> str:
     finally:
         for ctx in ctxs:
             ctx.finalize()
-    return f"slaves={slaves} jobs={jobs} reps={_REPS} {_row('wall', wall)} {_row('cpu', cpu)}"
+    return f"slaves={slaves} jobs={jobs} reps={_REPS} {_summary('wall', wall)} {_summary('cpu', cpu)}"
 
 
 def main(argv: list) -> None:
