@@ -207,7 +207,8 @@ def slave_loop(sctx, table: HandlerTable) -> int:
         try:
             fn(buf)
         except Exception as exc:
-            reply(_REPLY_HANDLER_ERROR, f"{type(exc).__name__}: {exc}".encode("utf-8"))
+            diagnostic = f"{type(exc).__name__}: {exc}"  # a lone surrogate is escaped, not fatal
+            reply(_REPLY_HANDLER_ERROR, diagnostic.encode("utf-8", "backslashreplace"))
             continue
         reply(_REPLY_OK, buf.data)
         handled += 1

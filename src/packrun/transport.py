@@ -11,19 +11,20 @@ root-centric collectives.  Each rank's :class:`Mailbox` queues arrivals by
 much unrelated traffic is pending, and a wildcard one looks at one queue
 head per key, not at every pending message.
 
-Collective traffic travels as control-kind envelopes tagged with a
-per-communicator sequence number, so it can never be confused with user
-messages, even ones received with wildcard filters.  All members must issue
-collectives on one communicator in the same order; the sequence numbers then
-agree on every rank without any allocation traffic.  The one collective
-algorithm lives in ``TransportContext._fan_in`` (every member's body to a
-root) and ``_fan_out`` (a body per member from a root); each collective
-calls one or both.
+Collective traffic travels as control-kind envelopes, so it can never be
+confused with user messages, even ones received with wildcard filters.  A
+control envelope's tag is its collective's opcode.  Members issue the
+collectives on one communicator in the same order, one at a time, and
+delivery per pair is FIFO, so a collective takes each peer's oldest control
+envelope and only checks its opcode.  The one collective algorithm lives in
+``TransportContext._fan_in`` (every member's body to a root) and
+``_fan_out`` (a body per member from a root); each collective calls one or
+both.
 
 A backend's ``post(src, dest, comm_id, tag, payload, kind)`` delivers one
 message.  ``payload`` may be the sender's own ``bytearray``, which is free to
 change once ``post`` returns: the mesh has written it to the socket by then,
-and the in-process world snapshots it.
+and the in-process world snapshots it (a ``bytes`` payload is shared as is).
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ ENV_READY_FD = "PACKRUN_READY_FD"
 ENV_HETERO = "PACKRUN_HETERO"
 ENV_TIMEOUT = "PACKRUN_TIMEOUT"
 
-# Control opcodes (first payload byte of control-kind envelopes)
+# Control opcodes: the tag of every control-kind envelope a collective posts
 _OP_BARRIER_ENTER = 1
 _OP_BARRIER_RELEASE = 2
 _OP_BCAST = 3
@@ -245,9 +246,10 @@ class Mailbox:
     the head of one queue whatever else is pending.  A wildcard receive
     (``None`` for src or tag) takes the matching head with the lowest arrival
     number, which is the first pending arrival that matches, so FIFO order
-    per sender holds across keys.  Unmatched messages stay queued under
-    their own keys.  The store is unbounded by design: delivery never
-    blocks the sender.
+    per sender holds across keys.  Control envelopes share one key per
+    sender and communicator, so a receive takes the oldest whatever its tag.
+    Unmatched messages stay queued under their own keys.  The store is
+    unbounded by design: delivery never blocks the sender.
     """
 
     def __init__(self):
@@ -260,7 +262,7 @@ class Mailbox:
         with self._cond:
             if self._closed:
                 return
-            key = (env.kind, env.comm_id, env.src, env.tag)
+            key = (env.kind, env.comm_id, env.src, env.tag if env.kind == KIND_DATA else None)
             self._queues.setdefault(key, []).append((self._arrivals, env))
             self._arrivals += 1
             self._cond.notify_all()
@@ -279,7 +281,7 @@ class Mailbox:
                 if src is None or tag is None:
                     key = self._oldest_key(kind, comm_id, src, tag)
                 else:
-                    key = (kind, comm_id, src, tag)
+                    key = (kind, comm_id, src, tag if kind == KIND_DATA else None)
                 queue = self._queues.get(key)
                 if queue is not None:
                     env = queue.pop(0)[1]
@@ -334,7 +336,6 @@ class TransportContext:
         self._mailbox = mailbox
         self._finalized = False
         self._lock = threading.Lock()
-        self._coll_seq: dict[int, int] = {}
         self._child_counter: dict[int, int] = {}
         self.world = Communicator(WORLD_COMM_ID, tuple(range(nprocs)), rank)
 
@@ -348,45 +349,41 @@ class TransportContext:
         if self._finalized:
             raise Finalized()
 
-    def _begin_collective(self, comm: Communicator, root: int = 0) -> tuple[int, int]:
-        """Check the context and the root; return the root and the collective's sequence number."""
+    def _begin_collective(self, comm: Communicator, root: int = 0) -> int:
+        """Check the context and the root; return the root."""
         self._check_open()
-        root = _check_rank(comm, root, InvalidRoot)
-        with self._lock:
-            seq = (self._coll_seq.get(comm.comm_id, 0) + 1) & 0xFFFFFFFF
-            self._coll_seq[comm.comm_id] = seq
-            return root, seq
+        return _check_rank(comm, root, InvalidRoot)
 
-    def _fan_in(self, comm: Communicator, root: int, seq: int, opcode: int,
+    def _fan_in(self, comm: Communicator, root: int, opcode: int,
                 body: bytes) -> Optional[list[bytes]]:
         """Send ``body`` to ``root``; root gets every member's, in local-rank order."""
         if comm.local_rank != root:
-            self._send_control(comm, root, seq, opcode, body)
+            self._send_control(comm, root, opcode, body)
             return None
-        return [body if m == root else self._recv_control(comm, m, seq, opcode)
+        return [body if m == root else self._recv_control(comm, m, opcode)
                 for m in range(comm.size)]
 
-    def _fan_out(self, comm: Communicator, root: int, seq: int, opcode: int, bodies) -> bytes:
+    def _fan_out(self, comm: Communicator, root: int, opcode: int, bodies) -> bytes:
         """Root sends ``bodies[m]`` to each other member ``m``; each returns its own."""
         if comm.local_rank != root:
-            return self._recv_control(comm, root, seq, opcode)
+            return self._recv_control(comm, root, opcode)
         for m in range(comm.size):
             if m != root:
-                self._send_control(comm, m, seq, opcode, bodies[m])
+                self._send_control(comm, m, opcode, bodies[m])
         return bodies[root]
 
-    def _send_control(self, comm: Communicator, dest_local: int, seq: int,
+    def _send_control(self, comm: Communicator, dest_local: int,
                       opcode: int, body: bytes) -> None:
         self._backend.post(self.rank, comm.members[dest_local], comm.comm_id,
-                           seq, bytes([opcode]) + body, KIND_CONTROL)
+                           opcode, body, KIND_CONTROL)
 
-    def _recv_control(self, comm: Communicator, src_local: int, seq: int, opcode: int) -> bytes:
-        env = self._mailbox.take(KIND_CONTROL, comm.comm_id, comm.members[src_local], seq)
-        if env.payload[:1] != bytes([opcode]):
+    def _recv_control(self, comm: Communicator, src_local: int, opcode: int) -> bytes:
+        env = self._mailbox.take(KIND_CONTROL, comm.comm_id, comm.members[src_local], opcode)
+        if env.tag != opcode:
             raise TransportError(
-                f"collective mismatch: expected opcode {opcode}, got {env.payload[:1]!r} "
+                f"collective mismatch: expected opcode {opcode}, got {env.tag} "
                 f"(members issuing collectives in different orders?)")
-        return env.payload[1:]
+        return env.payload
 
     # -- point to point
 
@@ -422,28 +419,28 @@ class TransportContext:
     # -- collectives
 
     def barrier(self, comm: Communicator) -> None:
-        _, seq = self._begin_collective(comm)
-        self._fan_in(comm, 0, seq, _OP_BARRIER_ENTER, b"")
-        self._fan_out(comm, 0, seq, _OP_BARRIER_RELEASE, [b""] * comm.size)
+        self._begin_collective(comm)
+        self._fan_in(comm, 0, _OP_BARRIER_ENTER, b"")
+        self._fan_out(comm, 0, _OP_BARRIER_RELEASE, [b""] * comm.size)
 
     def broadcast(self, comm: Communicator, root: int, payload: Optional[bytes] = None) -> bytes:
-        root, seq = self._begin_collective(comm, root)
+        root = self._begin_collective(comm, root)
         if comm.local_rank == root:
             payload = bytes(payload if payload is not None else b"")
-        return self._fan_out(comm, root, seq, _OP_BCAST, [payload] * comm.size)
+        return self._fan_out(comm, root, _OP_BCAST, [payload] * comm.size)
 
     def gather(self, comm: Communicator, root: int, payload: bytes) -> Optional[list[bytes]]:
-        root, seq = self._begin_collective(comm, root)
-        return self._fan_in(comm, root, seq, _OP_GATHER, bytes(payload))
+        root = self._begin_collective(comm, root)
+        return self._fan_in(comm, root, _OP_GATHER, bytes(payload))
 
     def scatter(self, comm: Communicator, root: int,
                 segments: Optional[list[bytes]] = None) -> bytes:
-        root, seq = self._begin_collective(comm, root)
+        root = self._begin_collective(comm, root)
         if comm.local_rank == root:
             segments = [bytes(s) for s in (segments or [])]
             if len(segments) != comm.size:
                 raise SegmentCountMismatch(comm.size, len(segments))
-        return self._fan_out(comm, root, seq, _OP_SCATTER, segments)
+        return self._fan_out(comm, root, _OP_SCATTER, segments)
 
     def comm_create(self, parent: Communicator, members):
         """Collectively carve a child communicator out of ``parent``.
@@ -461,23 +458,22 @@ class TransportContext:
             raise InvalidRank(next(m for m in requested if requested.count(m) > 1))
         world_members = tuple(sorted(parent.members[m] for m in subset))
         proposal = struct.pack(f">{len(world_members)}I", *world_members)
-        _, seq = self._begin_collective(parent)
-        proposals = self._fan_in(parent, 0, seq, _OP_COMM_PROPOSAL, proposal)
+        self._begin_collective(parent)
+        proposals = self._fan_in(parent, 0, _OP_COMM_PROPOSAL, proposal)
         result = b"\x00"  # local rank 0 decides for everyone
         if proposals is not None and all(p == proposal for p in proposals):
-            result = b"\x01" + struct.pack(">I", self._allocate_comm_id(parent.comm_id))
-        result = self._fan_out(parent, 0, seq, _OP_COMM_RESULT, [result] * parent.size)
-        if result[:1] != b"\x01":
+            result = b"\x01"
+        if self._fan_out(parent, 0, _OP_COMM_RESULT, [result] * parent.size) != b"\x01":
             raise TransportError("comm_create needs an identical subset from every parent member")
-        (child_id,) = struct.unpack(">I", result[1:5])
+        child_id = self._allocate_comm_id(parent.comm_id)
         if self.rank not in world_members:
             return NOT_MEMBER
         return Communicator(child_id, world_members, world_members.index(self.rank))
 
     def _allocate_comm_id(self, parent_id: int) -> int:
         # Child ids pack the ancestry into bytes: (parent << 8) | counter.
-        # Distinct roots can allocate concurrently without clashing because
-        # siblings share the parent id and the per-parent counter.
+        # Every member of the parent counts the same agreed comm_creates, so
+        # each allocates the same id without sending it.
         with self._lock:
             counter = self._child_counter.get(parent_id, 0) + 1
             self._child_counter[parent_id] = counter

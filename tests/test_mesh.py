@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from packrun.mesh import _MeshBackend, connect_mesh
 from packrun.transport import (
+    NOT_MEMBER,
     InvalidRank,
     Mailbox,
     RankConflict,
@@ -32,7 +33,7 @@ from packrun.wire import (
     read_frame,
     write_frame,
 )
-from support import make_mesh_world, mesh_configs, run_ranks
+from support import make_mesh_world, make_world, mesh_configs, run_ranks
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +346,46 @@ def test_mesh_world_sends_and_collects():
 
         results = run_ranks(ctxs, member, timeout=15)
         assert results[0] == [b"\x00", b"\x02", b"\x04"]
+    finally:
+        for ctx in ctxs:
+            ctx.finalize()
+
+
+def _collective_script(ctx, seed):
+    """Every collective three times in a seeded order, then a child communicator's gather.
+
+    Every rank draws the same script from ``seed``: roots move, and bodies are
+    empty, one byte, or large enough to need more than one socket read.
+    """
+    rng = random.Random(seed)
+    n = ctx.world.size
+    ops = ["barrier", "broadcast", "gather", "scatter"] * 3
+    rng.shuffle(ops)
+    results = []
+    for op in ops:
+        root = rng.randrange(n)
+        bodies = [rng.randbytes(rng.choice([0, 1, 100, 70_000])) for _ in range(n)]
+        mine = ctx.rank == root
+        if op == "barrier":
+            results.append(ctx.barrier(ctx.world))
+        elif op == "broadcast":
+            results.append(ctx.broadcast(ctx.world, root, bodies[root] if mine else None))
+        elif op == "gather":
+            results.append(ctx.gather(ctx.world, root, bodies[ctx.rank]))
+        else:
+            results.append(ctx.scatter(ctx.world, root, bodies if mine else None))
+    child = ctx.comm_create(ctx.world, [0, 2])
+    if child is not NOT_MEMBER:
+        results.append((child.comm_id, child.local_rank, ctx.gather(child, 1, bytes([ctx.rank]) * 3)))
+    return results
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_mesh_collectives_give_the_in_process_results(seed):
+    expected = run_ranks(make_world(3)[1], lambda ctx: _collective_script(ctx, seed))
+    ctxs = make_mesh_world(3)
+    try:
+        assert run_ranks(ctxs, lambda ctx: _collective_script(ctx, seed), timeout=30) == expected
     finally:
         for ctx in ctxs:
             ctx.finalize()

@@ -118,7 +118,7 @@ def test_request_frame_layout():
 # ---------------------------------------------------------------- farm
 
 
-def farm(nprocs, master_fn, table_for_rank=None):
+def farm(nprocs, master_fn, table_for_rank=None, timeout=15.0):
     """Drive a farm: rank 0 runs master_fn(ctx, table), others slave_loop."""
     world, ctxs = make_world(nprocs)
     table_for_rank = table_for_rank or (lambda rank: add_table())
@@ -129,7 +129,7 @@ def farm(nprocs, master_fn, table_for_rank=None):
             return master_fn(ctx, table)
         return slave_loop(ctx, table)
 
-    return run_ranks(ctxs, body)
+    return run_ranks(ctxs, body, timeout)
 
 
 def test_single_request_round_trip():
@@ -216,6 +216,28 @@ def test_handler_exception_reports_and_slave_survives():
             return reply.take_i32()
 
     assert farm(2, master)[0] == 4
+
+
+def test_a_lone_surrogate_in_a_handler_error_is_escaped_and_the_slave_survives():
+    def undecodable(buf):
+        raise ValueError("bad byte \udcff")  # what os.fsdecode makes of an undecodable byte
+
+    def table_for_rank(rank):
+        table = add_table()
+        table.register("undecodable", undecodable)
+        return table
+
+    def master(ctx, table):
+        with MasterPool(ctx, table) as pool:
+            pool.exec(pool.request("undecodable"))
+            with pytest.raises(HandlerError) as info:
+                pool.get_returnv()
+            assert info.value.diagnostic == "ValueError: bad byte \\udcff"
+            pool.exec(pool.request("add").put_i32(2).put_i32(3))
+            _, reply = pool.get_returnv()
+            return reply.take_i32()
+
+    assert farm(2, master, table_for_rank, timeout=5)[0] == 5
 
 
 def test_shutdown_collects_receipts_and_is_idempotent():

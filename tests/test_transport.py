@@ -5,6 +5,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -584,14 +585,14 @@ def test_collectives_post_the_flat_root_centric_schedule():
         def fan_in(comm_id, members, root, seq, opcode, bodies):
             for m, rank in enumerate(members):
                 if m != root:
-                    expected[rank].append(Envelope(rank, members[root], comm_id, seq,
-                                                   bytes([opcode]) + bodies[m], KIND_CONTROL))
+                    expected[rank].append(Envelope(rank, members[root], comm_id, opcode,
+                                                   bodies[m], KIND_CONTROL))
 
         def fan_out(comm_id, members, root, seq, opcode, bodies):
             for m, rank in enumerate(members):
                 if m != root:
-                    expected[members[root]].append(Envelope(members[root], rank, comm_id, seq,
-                                                            bytes([opcode]) + bodies[m], KIND_CONTROL))
+                    expected[members[root]].append(Envelope(members[root], rank, comm_id, opcode,
+                                                            bodies[m], KIND_CONTROL))
 
         everyone = list(range(n))
         fan_in(0, everyone, 0, 1, _ENTER, [b""] * n)
@@ -600,7 +601,7 @@ def test_collectives_post_the_flat_root_centric_schedule():
         fan_in(0, everyone, gather_root, 3, _GATHER, payloads)
         fan_out(0, everyone, scatter_root, 4, _SCATTER, segments)
         fan_in(0, everyone, 0, 5, _PROPOSAL, [struct.pack(f">{len(subset)}I", *subset)] * n)
-        fan_out(0, everyone, 0, 5, _RESULT, [b"\x01" + struct.pack(">I", child_id)] * n)
+        fan_out(0, everyone, 0, 5, _RESULT, [b"\x01"] * n)
         fan_in(child_id, subset, child_root, 1, _GATHER, [payloads[r] for r in subset])
         fan_in(child_id, subset, 0, 2, _ENTER, [b""] * len(subset))
         fan_out(child_id, subset, 0, 2, _RELEASE, [b""] * len(subset))
@@ -632,6 +633,37 @@ def test_collective_traffic_invisible_to_wildcard_recv():
     c0.barrier(c0.world)
     t.join(5)
     assert not t.is_alive()
+
+
+def test_a_collective_called_out_of_order_raises_collective_mismatch():
+    # Control envelopes match in arrival order: rank 0's barrier takes rank 1's
+    # broadcast body as its next envelope from rank 1, and refuses its opcode.
+    _, ctxs = make_world(2)
+
+    def member(ctx):
+        if ctx.rank == 1:
+            return ctx.broadcast(ctx.world, 1, b"early")
+        with pytest.raises(TransportError, match="collective mismatch"):
+            ctx.barrier(ctx.world)
+
+    run_ranks(ctxs, member, timeout=10)
+
+
+def test_a_broadcast_body_is_one_object_every_member_shares():
+    size = 8 << 20
+    _, ctxs = make_world(4)
+    body = random.Random(19).randbytes(size)
+    bufs = [MsgBuf(ctx) for ctx in ctxs]
+    bufs[0].append(body)
+    tracemalloc.start()
+    try:
+        run_ranks(ctxs, lambda ctx: bufs[ctx.rank].bcast(0), timeout=30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(buf.data == body for buf in bufs)
+    # the root's snapshot of its buffer, and nothing per destination
+    assert peak < 1.5 * size
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +722,22 @@ def test_nested_communicators_get_distinct_ids():
     grand = [g for _, g in results if g is not NOT_MEMBER]
     assert len(grand) == 2
     assert grand[0].comm_id not in (0, results[0][0].comm_id)
+
+
+def test_running_out_of_child_ids_raises_on_every_member_at_the_same_call():
+    _, ctxs = make_world(2)
+
+    def member(ctx):
+        for call in range(1, 300):
+            try:
+                ctx.comm_create(ctx.world, [0, 1])
+            except TransportError as exc:
+                ctx.barrier(ctx.world)  # nothing of the failed call is left pending
+                return call, str(exc), ctx._mailbox.pending()
+        return None
+
+    results = run_ranks(ctxs, member, timeout=10)
+    assert results == [(256, "communicator nesting/fan-out exceeds the id space", 0)] * 2
 
 
 def test_child_broadcast_never_touches_non_members():
