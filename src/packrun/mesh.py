@@ -9,8 +9,13 @@ A dialing side introduces itself with a 9-byte hello, its rank and whether
 it uses the portable encoding, so the acceptor knows which rank is on the
 wire and refuses a rank claimed twice or a world that mixes encodings.  Once
 its connections are up, a rank writes one byte to the descriptor the
-launcher gave it for that.  One reader thread per peer connection feeds the
-context's mailbox; writes are serialized per connection.
+launcher gave it for that.
+
+A rank keeps no reader thread: a thread that waits in the mailbox reads the
+sockets for the whole rank (see :class:`packrun.transport.Mailbox`).
+Writes are serialized per connection.  A frame the socket cannot take at once
+is finished with a blocking ``sendall`` while a helper thread reads, so, as
+MPI's standard-mode send may, it waits for a receiver busy outside packrun.
 
 A send writes its frame straight from the sender's payload buffer with one
 ``sendmsg`` (no ``Envelope`` is built for it), and a reader receives each
@@ -21,6 +26,7 @@ no payload copy on either side (see :mod:`packrun.wire`).
 from __future__ import annotations
 
 import os
+import selectors
 import socket
 import struct
 import threading
@@ -50,42 +56,62 @@ def _remaining(deadline: float, total: float) -> float:
 
 
 class _MeshBackend:
-    """Routes envelopes onto per-peer sockets; owns the reader threads."""
+    """Routes envelopes onto per-peer sockets, and reads them as the mailbox's reader."""
 
     def __init__(self, rank: int, conns: dict[int, socket.socket], mailbox: Mailbox):
         self._rank = rank
         self._conns = conns
         self._mailbox = mailbox
         self._send_locks = {peer: threading.Lock() for peer in conns}
+        self._read_lock = threading.Lock()  # shutdown closes the sockets once no read is running
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._selector = selectors.PollSelector()  # holds no descriptor of its own
+        self._selector.register(self._wake_r, selectors.EVENT_READ, None)
         for peer, conn in conns.items():
-            threading.Thread(target=self._read_loop, args=(peer, conn),
-                             daemon=True, name=f"mesh-read-{rank}<-{peer}").start()
+            self._selector.register(conn, selectors.EVENT_READ, peer)
+        mailbox.reader = self
 
-    def _read_loop(self, peer: int, conn: socket.socket) -> None:
-        try:
-            while True:
-                env = read_frame(conn)
+    def read(self, timeout) -> None:
+        """File one frame from each connection that is readable within ``timeout`` s."""
+        with self._read_lock:
+            if self._selector.get_map() is None:
+                return  # shut down
+            for key, _events in self._selector.select(timeout):
+                if key.data is None:
+                    self._wake_r.recv(4096)
+                    continue
+                try:
+                    env = read_frame(key.fileobj)
+                except (FrameError, OSError):
+                    env = None  # peer gone or stream torn down mid-frame; pending recvs time out
                 # a frame that misnames its sender or receiver ends the stream
-                if env is None or env.src != peer or env.dest != self._rank:
-                    return
-                self._mailbox.put(env)
-        except (FrameError, OSError):
-            return  # peer gone or stream torn down mid-frame; pending recvs time out
+                if env is None or env.src != key.data or env.dest != self._rank:
+                    self._selector.unregister(key.fileobj)
+                else:
+                    self._mailbox.put(env)
+
+    def wake(self) -> None:
+        self._wake_w.send(b"\0")  # ends the select of a read in progress
 
     def post(self, src: int, dest: int, comm_id: int, tag: int, payload, kind: int) -> None:
         try:
             with self._send_locks[dest]:
-                write_frame(self._conns[dest], src, dest, comm_id, tag, payload, kind)
+                write_frame(self._conns[dest], src, dest, comm_id, tag, payload, kind,
+                            self._mailbox.reading)
         except OSError as exc:
             raise TransportError(f"connection to rank {dest} lost: {exc}") from exc
 
     def shutdown(self) -> None:
-        for conn in self._conns.values():
+        socks = [*self._conns.values(), self._wake_r, self._wake_w]
+        for sock in socks:
             try:
-                conn.shutdown(socket.SHUT_RDWR)
+                sock.shutdown(socket.SHUT_RDWR)  # ends a select or read in progress
             except OSError:
                 pass
-            conn.close()
+        with self._read_lock:
+            self._selector.close()
+            for sock in socks:
+                sock.close()
 
 
 def _hello_from(conn: socket.socket, rank: int, hetero: bool, conns: dict) -> int:
@@ -134,11 +160,14 @@ def connect_mesh(config: WorldConfig) -> TransportContext:
                     except BaseException:
                         conn.close()
                         raise
-            for conn in conns.values():
-                conn.settimeout(None)
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if config.ready_fd is not None:
-                os.write(config.ready_fd, b"\x01")
+                for conn in conns.values():
+                    conn.settimeout(None)
+                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                if config.ready_fd is not None:
+                    os.write(config.ready_fd, b"\x01")
+                # made while the listener is open, so none of its descriptors reuses that number
+                mailbox = Mailbox()
+                backend = _MeshBackend(rank, conns, mailbox)
         except socket.timeout:
             raise RendezvousTimeout(total) from None
         except (OSError, struct.error, FrameError) as exc:
@@ -150,7 +179,4 @@ def connect_mesh(config: WorldConfig) -> TransportContext:
     finally:
         if config.ready_fd is not None:
             os.close(config.ready_fd)
-
-    mailbox = Mailbox()
-    backend = _MeshBackend(rank, conns, mailbox)
     return TransportContext(rank, nprocs, backend, mailbox, hetero)

@@ -35,6 +35,7 @@ import struct
 import threading
 import time
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -249,7 +250,11 @@ class Mailbox:
     per sender holds across keys.  Control envelopes share one key per
     sender and communicator, so a receive takes the oldest whatever its tag.
     Unmatched messages stay queued under their own keys.  The store is
-    unbounded by design: delivery never blocks the sender.
+    unbounded by design: filing an arrival never waits for a receiver.
+
+    With a ``reader`` (the mesh backend), a ``take`` that finds no match
+    becomes the one thread that reads the backend, and wakes the threads
+    waiting on the condition as it files arrivals and when it leaves.
     """
 
     def __init__(self):
@@ -257,6 +262,8 @@ class Mailbox:
         self._queues: dict[tuple, list[tuple[int, Envelope]]] = {}
         self._arrivals = 0
         self._closed = False
+        self.reader = None  # a backend whose read(timeout) files arrivals, and wake() ends it
+        self._reading = False
 
     def put(self, env: Envelope) -> None:
         with self._cond:
@@ -276,6 +283,7 @@ class Mailbox:
         seconds, or Finalized once the mailbox is closed.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
+        expired = False
         with self._cond:
             while True:
                 if src is None or tag is None:
@@ -290,13 +298,44 @@ class Mailbox:
                     return env
                 if self._closed:
                     raise Finalized()
-                if deadline is None:
-                    self._cond.wait()
-                else:
+                if expired:
+                    raise RecvTimeout(timeout)
+                remaining = None
+                if deadline is not None:
                     remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise RecvTimeout(timeout)
-                    self._cond.wait(remaining)
+                    expired = remaining <= 0  # after one last look at what has arrived
+                self._wait(remaining)
+
+    def _wait(self, timeout: Optional[float]) -> None:
+        """Wait up to ``timeout`` s for arrivals, as the reader unless another thread is."""
+        if self.reader is None or self._reading:
+            self._cond.wait(timeout)
+            return
+        self._reading = True
+        self._cond.release()
+        try:
+            self.reader.read(timeout)
+        finally:
+            self._cond.acquire()
+            self._reading = False
+            self._cond.notify_all()  # hands the reader role on
+
+    @contextmanager
+    def reading(self):
+        """While a blocked send runs in here, a helper thread takes the free reader role."""
+        done = threading.Event()
+
+        def help_read():
+            with self._cond:
+                while not (done.is_set() or self._closed):
+                    self._wait(None)
+
+        threading.Thread(target=help_read, daemon=True).start()
+        try:
+            yield
+        finally:
+            done.set()
+            self.reader.wake()  # ends the helper's read, or the read it waits behind
 
     def _oldest_key(self, kind, comm_id, src, tag) -> Optional[tuple]:
         first = key = None

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import socket
 import struct
-from dataclasses import dataclass
+from contextlib import nullcontext
+from typing import NamedTuple
 
 MAGIC = b"MPB1"
 VERSION = 1
@@ -33,8 +34,7 @@ class FrameError(Exception):
     """Raised when an incoming byte stream is not a valid frame."""
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """One routed message: world ranks, communicator, tag, raw payload."""
 
     src: int
@@ -56,19 +56,23 @@ def encode_frame(env: Envelope) -> bytes:
 
 
 def write_frame(sock: socket.socket, src: int, dest: int, comm_id: int, tag: int,
-                payload, kind: int = KIND_DATA) -> None:
+                payload, kind: int = KIND_DATA, blocked=nullcontext) -> None:
     """Send one frame, the bytes ``encode_frame`` would give, without copying ``payload``.
 
     ``payload`` is any bytes-like object; it is read in place, so it must
-    not change until this returns.
+    not change until this returns.  The first ``sendmsg`` does not wait; the
+    rest of a frame it did not take is sent inside ``with blocked():``.
     """
     header = _header(src, dest, comm_id, tag, payload, kind)
-    sent = sock.sendmsg([header, payload])
-    if sent < HEADER_SIZE:  # only a socket with a timeout, or a signal, stops short
-        sock.sendall(header[sent:])
-        sent = HEADER_SIZE
+    try:
+        sent = sock.sendmsg([header, payload], (), socket.MSG_DONTWAIT)
+    except BlockingIOError:
+        sent = 0
     if sent < HEADER_SIZE + len(payload):
-        with memoryview(payload) as view:
+        with blocked(), memoryview(payload) as view:
+            if sent < HEADER_SIZE:
+                sock.sendall(header[sent:])
+                sent = HEADER_SIZE
             sock.sendall(view[sent - HEADER_SIZE:])
 
 

@@ -171,6 +171,11 @@ def test_run_timeout_kills_stragglers():
     assert pids_running("hang.py") == []
 
 
+def _cmdline(pid: int) -> bytes:
+    with open(f"/proc/{pid}/cmdline", "rb") as fh:
+        return fh.read()
+
+
 def test_pids_running_counts_only_python_processes_running_the_program(tmp_path):
     script = tmp_path / "pids_probe.py"
     script.write_text("import time\ntime.sleep(60)\n")
@@ -179,7 +184,13 @@ def test_pids_running_counts_only_python_processes_running_the_program(tmp_path)
         [sys.executable, "-c", "import time; time.sleep(60)  # pids_probe.py"],
         [sys.executable, "-u", str(script)],
     )]
-    try:  # Popen returns once each child has exec'd, so its command line is final
+    try:
+        # Popen returns once each child has exec'd, but its command line can
+        # still read empty for a moment after that
+        deadline = time.monotonic() + 10
+        for proc in procs:
+            while not _cmdline(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.01)
         assert pids_running("pids_probe.py") == [procs[2].pid]
         assert pids_running("probe.py") == []  # a whole file name, not a suffix of one
     finally:

@@ -5,6 +5,7 @@ import os
 import random
 import socket
 import struct
+import sys
 import threading
 import time
 import tracemalloc
@@ -12,12 +13,16 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from packrun.launcher import LaunchPlan, launch
 from packrun.mesh import _MeshBackend, connect_mesh
 from packrun.transport import (
     NOT_MEMBER,
+    BackendKind,
+    Finalized,
     InvalidRank,
     Mailbox,
     RankConflict,
+    RecvTimeout,
     RendezvousTimeout,
     TransportError,
     WorldConfig,
@@ -33,7 +38,7 @@ from packrun.wire import (
     read_frame,
     write_frame,
 )
-from support import make_mesh_world, make_world, mesh_configs, run_ranks
+from support import make_mesh_world, make_world, mesh_configs, program, run_ranks
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +170,7 @@ class _ShortSender:
     def __init__(self, first):
         self.first, self.sent = first, bytearray()
 
-    def sendmsg(self, buffers):
+    def sendmsg(self, buffers, ancdata=(), flags=0):
         self.sent += b"".join(buffers)[:self.first]
         return self.first
 
@@ -227,12 +232,13 @@ def test_a_frame_misnaming_its_sender_or_receiver_ends_the_reader(spoofed):
     frames = [Envelope(0, 1, 0, 1, b"first"), spoofed, Envelope(0, 1, 0, 3, b"after")]
     with writer:
         writer.sendall(b"".join(encode_frame(env) for env in frames))
-        readers = [t for t in threading.enumerate() if t.name == "mesh-read-1<-0"]
-        for thread in readers:
-            thread.join(5)
-        assert readers and not any(thread.is_alive() for thread in readers)
-    assert mailbox.take(KIND_DATA, 0, None, None, timeout=1).payload == b"first"
-    assert mailbox.pending() == 0
+        assert mailbox.take(KIND_DATA, 0, None, None, timeout=5).payload == b"first"
+        with pytest.raises(RecvTimeout):
+            mailbox.take(KIND_DATA, 0, None, None, timeout=0.3)
+        assert mailbox.pending() == 0
+        # nothing read the connection past the misnamed frame
+        unread = reader.recv(1 << 16, socket.MSG_PEEK | socket.MSG_DONTWAIT)
+        assert unread == encode_frame(frames[2])
     backend.shutdown()
 
 
@@ -542,3 +548,153 @@ def test_a_hello_split_across_two_writes_still_joins_the_mesh():
             assert ctx.recv(ctx.world, source=0, tag=5, timeout=5)[2] == b"after the hello"
         finally:
             ctx.finalize()
+
+
+# ---------------------------------------------------------------------------
+# Who reads the sockets: the thread that waits for a message
+
+
+@pytest.mark.parametrize("mode", ["exchange", "busy"])
+def test_mesh_ranks_stay_live_when_sends_meet_a_full_or_idle_peer(mode):
+    # exchange: each rank sends 8 MiB, beyond the socket buffers, before it
+    # receives.  busy: a 1 MiB send to a rank sleeping outside packrun
+    # returns in under 0.5 s.  The program exits nonzero if either fails.
+    codes = launch(LaunchPlan(2, program("mesh_liveness.py"), (mode,),
+                              BackendKind.SOCKET_MESH, run_timeout=30.0))
+    assert codes == [0, 0]
+
+
+def test_threads_of_a_rank_receive_on_their_own_tags_while_the_peer_sends():
+    # four receiving threads on two CPUs, switching often, share one reader role
+    ctxs = make_mesh_world(2)
+    tags, count = (1, 2, 3, 4), 100
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        def member(ctx):
+            if ctx.rank == 0:
+                for i in range(count):
+                    for tag in reversed(tags):
+                        ctx.send(ctx.world, 1, tag, b"%d:%d" % (tag, i))
+                return None
+            got = {}
+
+            def take(tag):
+                got[tag] = [ctx.recv(ctx.world, 0, tag, timeout=10)[2] for _ in range(count)]
+
+            takers = [threading.Thread(target=take, args=(tag,), daemon=True) for tag in tags]
+            for taker in takers:
+                taker.start()
+            for taker in takers:
+                taker.join(15)
+                assert not taker.is_alive()
+            return got
+
+        got = run_ranks(ctxs, member, timeout=20)[1]
+        assert got == {tag: [b"%d:%d" % (tag, i) for i in range(count)] for tag in tags}
+    finally:
+        sys.setswitchinterval(interval)
+        for ctx in ctxs:
+            ctx.finalize()
+
+
+def test_a_thread_waiting_behind_the_reader_takes_the_role_when_it_leaves():
+    ctxs = make_mesh_world(2)
+    sender, receiver = ctxs
+    got = {}
+
+    def take(tag, timeout):
+        try:
+            got[tag] = receiver.recv(receiver.world, 0, tag, timeout=timeout)[2]
+        except RecvTimeout as exc:
+            got[tag] = exc
+
+    first = threading.Thread(target=take, args=(1, 0.3), daemon=True)
+    second = threading.Thread(target=take, args=(2, 10), daemon=True)
+    try:
+        first.start()
+        deadline = time.monotonic() + 5
+        while not receiver._mailbox._reading and time.monotonic() < deadline:
+            time.sleep(0.01)
+        second.start()  # waits on the condition: the first thread holds the reader role
+        first.join(5)  # gives up the role when its timeout passes, with nothing read
+        assert isinstance(got.pop(1), RecvTimeout)
+        started = time.monotonic()
+        sender.send(sender.world, 1, 2, b"two")
+        second.join(5)
+        assert got == {2: b"two"} and time.monotonic() - started < 1
+    finally:
+        for ctx in ctxs:
+            ctx.finalize()
+
+
+def test_a_mesh_recv_with_a_timeout_raises_recv_timeout_or_takes_what_has_arrived():
+    ctxs = make_mesh_world(2)
+    try:
+        started = time.monotonic()
+        with pytest.raises(RecvTimeout):
+            ctxs[0].recv(ctxs[0].world, timeout=0.2)
+        assert 0.2 <= time.monotonic() - started < 2.0
+        ctxs[1].send(ctxs[1].world, 0, 5, b"waiting in the socket")
+        time.sleep(0.2)
+        assert ctxs[0].recv(ctxs[0].world, timeout=0)[2] == b"waiting in the socket"
+    finally:
+        for ctx in ctxs:
+            ctx.finalize()
+
+
+def test_finalize_from_another_thread_ends_a_recv_reading_the_sockets():
+    ctxs = make_mesh_world(2)
+    outcome = {}
+
+    def wait():
+        try:
+            ctxs[1].recv(ctxs[1].world)
+        except Finalized as exc:
+            outcome["error"] = exc
+
+    receiver = threading.Thread(target=wait, daemon=True)
+    try:
+        receiver.start()
+        deadline = time.monotonic() + 5
+        while not ctxs[1]._mailbox._reading and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert ctxs[1]._mailbox._reading  # the receiver is in the sockets, not on the condition
+        finisher = threading.Thread(target=ctxs[1].finalize, daemon=True)
+        started = time.monotonic()
+        finisher.start()
+        receiver.join(1)
+        finisher.join(1)
+        assert not (receiver.is_alive() or finisher.is_alive())
+        assert time.monotonic() - started < 1
+        assert isinstance(outcome.get("error"), Finalized)
+    finally:
+        for ctx in ctxs:
+            ctx.finalize()
+
+
+def test_connect_mesh_starts_no_thread():
+    before = set(threading.enumerate())
+    ctxs = make_mesh_world(3)
+    try:
+        assert set(threading.enumerate()) == before
+    finally:
+        for ctx in ctxs:
+            ctx.finalize()
+
+
+def test_finalize_leaves_no_descriptor_open():
+    before = set(os.listdir("/proc/self/fd"))
+    ctxs = make_mesh_world(3)
+
+    def member(ctx):  # an 8 MiB ring exchange, so blocked sends start helper readers
+        n = ctx.world.size
+        ctx.send(ctx.world, (ctx.rank + 1) % n, 0, bytes(_BIG))
+        return len(ctx.recv(ctx.world, (ctx.rank - 1) % n, 0, timeout=20)[2])
+
+    try:
+        assert run_ranks(ctxs, member, timeout=30) == [_BIG] * 3
+    finally:
+        for ctx in ctxs:
+            ctx.finalize()
+    assert set(os.listdir("/proc/self/fd")) <= before

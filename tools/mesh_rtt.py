@@ -10,10 +10,16 @@ of each row in microseconds. The paths, from the least runtime to the most:
 - ``raw``: packrun's wire frames over a loopback socket of their own, read
   on the calling thread;
 - ``raw-thread``: the same socket, read by a reader thread that hands each
-  payload over through a ``threading.Condition``, as the mesh does;
-- ``ctx``: ``ctx.send`` and ``ctx.recv`` over the mesh;
+  payload over through a ``threading.Condition``: the cost of a progress
+  thread, which the mesh does without;
+- ``ctx``: ``ctx.send`` and ``ctx.recv`` over the mesh, which a rank reads
+  on the thread that waits for the message;
 - ``msgbuf``: a ``seq<u8>`` through ``MsgBuf``: ``put_bytes``, ``send``,
   ``get`` and ``take_bytes``.
+
+An 8 MiB payload is larger than a loopback socket takes at once, so that
+row also times the send that finishes with a blocking write while a helper
+thread reads.
 
     PYTHONPATH=src python3 tools/mesh_rtt.py [BYTES ...]   # default: 64 65536 1048576 8388608
 """
