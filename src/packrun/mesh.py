@@ -17,10 +17,10 @@ Writes are serialized per connection.  A frame the socket cannot take at once
 is finished with a blocking ``sendall`` while a helper thread reads, so, as
 MPI's standard-mode send may, it waits for a receiver busy outside packrun.
 
-A send writes its frame straight from the sender's payload buffer with one
-``sendmsg`` (no ``Envelope`` is built for it), and a reader receives each
-payload into the ``bytes`` object the mailbox then holds, so the mesh adds
-no payload copy on either side (see :mod:`packrun.wire`).
+A send writes its frame from the sender's payload buffer, or the pieces of a
+``Segments`` payload, with one ``sendmsg`` (no ``Envelope`` is built), and a
+reader receives each payload into the ``bytes`` object the mailbox then holds,
+so the mesh adds no payload copy on either side (see :mod:`packrun.wire`).
 """
 
 from __future__ import annotations

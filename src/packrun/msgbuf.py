@@ -22,13 +22,15 @@ import struct
 from typing import Optional
 
 from .idl import PrimTag, TypeRegistry
-from .pack import Buffer, DynValue, Encoding, Prim, Seq, Str, pack, unpack
+from .pack import MAX_LENGTH, Buffer, DynValue, Encoding, Prim, Seq, Str, pack, unpack
 from .transport import ANY, Communicator, TransportContext, TransportError
+from .wire import Segments
 
 
 # hot paths name these members directly: reading one through its Enum class is slow
 _I32, _U32, _I64, _F64, _BOOL = PrimTag.I32, PrimTag.U32, PrimTag.I64, PrimTag.F64, PrimTag.BOOL
 _NATIVE, _PORTABLE = Encoding.NATIVE, Encoding.PORTABLE
+BY_REFERENCE = 64 << 10  # put_bytes keeps a bytes object at least this long by reference
 
 
 class MalformedSegmentTable(TransportError):
@@ -61,6 +63,7 @@ class MsgBuf:
         self._registry = registry
         self.comm = comm if comm is not None else ctx.world
         self._buf = Buffer(_PORTABLE if ctx.hetero else _NATIVE)
+        self._held = ()  # the message's pieces before the buffer's own bytes: see put_bytes
         self.last_source: Optional[int] = None
 
     # -- buffer views
@@ -71,22 +74,31 @@ class MsgBuf:
 
     @property
     def data(self) -> bytes:
-        return self._buf.data
+        return bytes(self._joined())
 
     @property
     def size(self) -> int:
-        return self._buf.size
+        return self._buf.size + sum(map(len, self._held)) if self._held else self._buf.size
 
     @property
     def remaining(self) -> int:
-        return self._buf.remaining
+        return self.size - self._buf.read_cursor
+
+    def _joined(self):
+        """The whole contents in the buffer, the held pieces joined in front; returns them."""
+        if self._held:
+            self._buf._data = b"".join((*self._held, self._buf._data))
+            self._held = ()
+        return self._buf._data
 
     def reset(self) -> "MsgBuf":
         self._buf.reset()
+        self._held = ()
         return self
 
     def load(self, payload: bytes) -> "MsgBuf":
         self._buf.load(payload)
+        self._held = ()
         return self
 
     def append(self, raw: bytes) -> "MsgBuf":
@@ -101,6 +113,8 @@ class MsgBuf:
         return self
 
     def take(self, kind) -> DynValue:
+        if self._held:
+            self._joined()
         return unpack(self._buf, kind, self._registry)
 
     def put_i32(self, v: int) -> "MsgBuf":
@@ -122,7 +136,13 @@ class MsgBuf:
         return self.put(Str(v), "string")
 
     def put_bytes(self, v: bytes) -> "MsgBuf":
-        return self.put(Seq(v), "seq<u8>")
+        """Pack a ``seq<u8>``; ``bytes`` of at least ``BY_REFERENCE`` bytes go by reference."""
+        if type(v) is not bytes or not BY_REFERENCE <= len(v) <= MAX_LENGTH:
+            return self.put(Seq(v), "seq<u8>")
+        self.put_u32(len(v))  # a seq<u8>'s length prefix, in either encoding
+        self._held += (self._buf._data, v)  # the buffer's own bytes follow v, a portable pad first
+        self._buf._data = bytearray(-len(v) % 4 if self._buf.encoding is _PORTABLE else 0)
+        return self
 
     def take_i32(self) -> int:
         return self.take("i32").value
@@ -149,31 +169,27 @@ class MsgBuf:
 
     def send(self, dest: int, tag: int = 0) -> "MsgBuf":
         """Ship the buffer contents to ``dest`` and reset for the next message."""
-        self._ctx.send(self.comm, dest, tag, self._buf._data)  # sent in place, no snapshot
-        self._buf.reset()
+        payload = Segments((*self._held, self._buf._data)) if self._held else self._buf._data
+        self._ctx.send(self.comm, dest, tag, payload)  # sent in place, no snapshot
+        self.reset()
         return self
 
     def get(self, source=ANY, tag=0, timeout: Optional[float] = None) -> "MsgBuf":
         """Replace the contents with one matching message, ready to unpack."""
         src, _tag, payload = self._ctx.recv(self.comm, source, tag, timeout)
-        self._buf.load(payload)
+        self.load(payload)
         self.last_source = src
         return self
 
     def bcast(self, root: int) -> "MsgBuf":
         """Broadcast root's bytes; every member ends up ready to unpack them."""
-        mine = self._buf.data if self.comm.local_rank == root else None
-        self._buf.load(self._ctx.broadcast(self.comm, root, mine))
-        return self
+        mine = self.data if self.comm.local_rank == root else None
+        return self.load(self._ctx.broadcast(self.comm, root, mine))
 
     def gather(self, root: int) -> "MsgBuf":
         """Concatenate members' bytes at root in local-rank order; others reset."""
-        parts = self._ctx.gather(self.comm, root, self._buf.data)
-        if parts is None:
-            self._buf.reset()
-        else:
-            self._buf.load(b"".join(parts))
-        return self
+        parts = self._ctx.gather(self.comm, root, self._joined())
+        return self.reset() if parts is None else self.load(b"".join(parts))
 
     def scatter(self, root: int) -> "MsgBuf":
         """Slice root's segment table across the members.
@@ -182,11 +198,8 @@ class MsgBuf:
         :meth:`pack_segment`); member i ends up with segment i's bytes.
         """
         if self.comm.local_rank == root:
-            segments = _parse_segments(self._buf.data)
-            self._buf.load(self._ctx.scatter(self.comm, root, segments))
-        else:
-            self._buf.load(self._ctx.scatter(self.comm, root))
-        return self
+            return self.load(self._ctx.scatter(self.comm, root, _parse_segments(self.data)))
+        return self.load(self._ctx.scatter(self.comm, root))
 
     def pack_segment(self, payload) -> "MsgBuf":
         """Append one scatter segment: u32 big-endian length, then the bytes."""

@@ -25,6 +25,7 @@ A backend's ``post(src, dest, comm_id, tag, payload, kind)`` delivers one
 message.  ``payload`` may be the sender's own ``bytearray``, which is free to
 change once ``post`` returns: the mesh has written it to the socket by then,
 and the in-process world snapshots it (a ``bytes`` payload is shared as is).
+Pieces in a :class:`packrun.wire.Segments` are written in turn or joined.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from enum import Enum
 from typing import Optional
 
 from ._slots import current_slot
-from .wire import KIND_CONTROL, KIND_DATA, MAX_PAYLOAD, Envelope
+from .wire import KIND_CONTROL, KIND_DATA, MAX_PAYLOAD, Envelope, Segments
 
 
 class _AnyFilter:
@@ -437,7 +438,8 @@ class TransportContext:
         if dest == comm.local_rank:
             raise SelfSend()
         tag = _check_tag(tag)
-        if type(payload) is not bytes and type(payload) is not bytearray:
+        cls = type(payload)
+        if cls is not bytearray and cls is not bytes and cls is not Segments:
             payload = bytes(payload)
         if len(payload) > MAX_PAYLOAD:
             raise TransportError(f"payload of {len(payload)} bytes exceeds the {MAX_PAYLOAD} maximum")
@@ -469,8 +471,10 @@ class TransportContext:
         return self._fan_out(comm, root, _OP_BCAST, [payload] * comm.size)
 
     def gather(self, comm: Communicator, root: int, payload: bytes) -> Optional[list[bytes]]:
+        """Root gets every member's payload in local-rank order; its own is the object it passed."""
         root = self._begin_collective(comm, root)
-        return self._fan_in(comm, root, _OP_GATHER, bytes(payload))
+        return self._fan_in(comm, root, _OP_GATHER,
+                            payload if type(payload) is bytearray else bytes(payload))
 
     def scatter(self, comm: Communicator, root: int,
                 segments: Optional[list[bytes]] = None) -> bytes:
@@ -563,7 +567,8 @@ class InProcessWorld:
 
     def post(self, src: int, dest: int, comm_id: int, tag: int, payload, kind: int) -> None:
         # The snapshot: the sender may refill a bytearray payload once send returns.
-        self._mailboxes[dest].put(Envelope(src, dest, comm_id, tag, bytes(payload), kind))
+        body = b"".join(payload) if type(payload) is Segments else bytes(payload)
+        self._mailboxes[dest].put(Envelope(src, dest, comm_id, tag, body, kind))
 
     def shutdown(self) -> None:
         pass  # per-rank mailboxes are closed by their contexts

@@ -5,9 +5,9 @@ Frames are fixed little machines: magic ``MPB1``, version byte, kind byte
 communicator, tag, payload length) and the payload.
 
 A frame costs no payload copy here on either side.  ``write_frame`` hands
-the header and the caller's payload buffer to one ``sendmsg``;
-``read_frame`` receives a payload of up to 16 MiB with ``MSG_WAITALL``
-straight into the ``bytes`` object that becomes ``Envelope.payload``.
+the header and the payload buffer (or a :class:`Segments` payload's pieces) to
+one ``sendmsg``; ``read_frame`` receives a payload of up to 16 MiB with
+``MSG_WAITALL`` straight into the ``bytes`` that becomes ``Envelope.payload``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ KIND_CONTROL = 1
 
 MAX_PAYLOAD = 2**31 - 1
 _MAX_RECV = 16 << 20  # per recv: CPython allocates what it asks for before any byte arrives
+_IOV_MAX = 1024  # buffers one sendmsg takes on Linux; a frame's later buffers follow it
 
 _HEADER = struct.Struct(">4sBBIIIII")  # magic, version, kind, src, dest, comm_id, tag, len
 HEADER_SIZE = _HEADER.size
@@ -45,35 +46,46 @@ class Envelope(NamedTuple):
     kind: int = KIND_DATA
 
 
-def _header(src: int, dest: int, comm_id: int, tag: int, payload, kind: int) -> bytes:
-    if len(payload) > MAX_PAYLOAD:
-        raise FrameError(f"payload of {len(payload)} bytes exceeds the {MAX_PAYLOAD} maximum")
-    return _HEADER.pack(MAGIC, VERSION, kind, src, dest, comm_id, tag, len(payload))
+class Segments(tuple):
+    """A payload in pieces, sent back to back; its ``len`` is its size in bytes, as a payload's."""
+
+    def __len__(self) -> int:  # list() would take this as a length hint: iterate it instead
+        return sum(map(len, self))
+
+
+def _header(src: int, dest: int, comm_id: int, tag: int, size: int, kind: int) -> bytes:
+    if size > MAX_PAYLOAD:
+        raise FrameError(f"payload of {size} bytes exceeds the {MAX_PAYLOAD} maximum")
+    return _HEADER.pack(MAGIC, VERSION, kind, src, dest, comm_id, tag, size)
 
 
 def encode_frame(env: Envelope) -> bytes:
-    return _header(env.src, env.dest, env.comm_id, env.tag, env.payload, env.kind) + env.payload
+    return _header(env.src, env.dest, env.comm_id, env.tag, len(env.payload), env.kind) + env.payload
 
 
 def write_frame(sock: socket.socket, src: int, dest: int, comm_id: int, tag: int,
                 payload, kind: int = KIND_DATA, blocked=nullcontext) -> None:
     """Send one frame, the bytes ``encode_frame`` would give, without copying ``payload``.
 
-    ``payload`` is any bytes-like object; it is read in place, so it must
-    not change until this returns.  The first ``sendmsg`` does not wait; the
-    rest of a frame it did not take is sent inside ``with blocked():``.
+    ``payload`` is a bytes-like object or :class:`Segments`; it is read in place, so it
+    must not change until this returns.  The first ``sendmsg`` does not wait; the rest
+    of a frame it did not take is sent inside ``with blocked():``.
     """
-    header = _header(src, dest, comm_id, tag, payload, kind)
+    buffers = first = [_header(src, dest, comm_id, tag, len(payload), kind), payload]
+    if type(payload) is Segments:
+        buffers[1:] = payload
+        first = buffers[:_IOV_MAX]  # what one sendmsg takes; the blocking tail sends the rest
     try:
-        sent = sock.sendmsg([header, payload], (), socket.MSG_DONTWAIT)
+        sent = sock.sendmsg(first, (), socket.MSG_DONTWAIT)
     except BlockingIOError:
         sent = 0
     if sent < HEADER_SIZE + len(payload):
-        with blocked(), memoryview(payload) as view:
-            if sent < HEADER_SIZE:
-                sock.sendall(header[sent:])
-                sent = HEADER_SIZE
-            sock.sendall(view[sent - HEADER_SIZE:])
+        with blocked():
+            for buf in buffers:  # skips what went out, then sends the rest of each buffer
+                if sent < len(buf):
+                    with memoryview(buf) as view:
+                        sock.sendall(view[sent:])
+                sent = max(sent - len(buf), 0)
 
 
 def decode_header(header: bytes) -> tuple[int, int, int, int, int, int]:

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from packrun.launcher import LaunchPlan, launch
 from packrun.mesh import _MeshBackend, connect_mesh
+from packrun.msgbuf import BY_REFERENCE, MsgBuf
 from packrun.transport import (
     NOT_MEMBER,
     BackendKind,
@@ -24,6 +25,7 @@ from packrun.transport import (
     RankConflict,
     RecvTimeout,
     RendezvousTimeout,
+    TransportContext,
     TransportError,
     WorldConfig,
 )
@@ -33,6 +35,7 @@ from packrun.wire import (
     HEADER_SIZE,
     KIND_CONTROL,
     KIND_DATA,
+    Segments,
     decode_header,
     encode_frame,
     read_frame,
@@ -171,6 +174,7 @@ class _ShortSender:
         self.first, self.sent = first, bytearray()
 
     def sendmsg(self, buffers, ancdata=(), flags=0):
+        assert len(buffers) <= 1024  # IOV_MAX: sendmsg refuses more
         self.sent += b"".join(buffers)[:self.first]
         return self.first
 
@@ -184,6 +188,49 @@ def test_write_frame_sends_the_rest_of_a_short_sendmsg(first):
     sock = _ShortSender(first)
     write_frame(sock, 2, 3, 4, 5, payload)
     assert sock.sent == encode_frame(Envelope(2, 3, 4, 5, bytes(payload)))
+
+
+_PIECES = [b"ab", bytearray(b"cde"), b"", bytes(range(7)), bytearray(b"f")]
+
+
+def test_write_frame_of_segments_finishes_a_sendmsg_cut_anywhere():
+    frame = encode_frame(Envelope(2, 3, 4, 5, b"".join(_PIECES)))
+    for first in range(len(frame) + 1):  # in the header, inside a piece and between pieces
+        sock = _ShortSender(first)
+        write_frame(sock, 2, 3, 4, 5, Segments(_PIECES))
+        assert sock.sent == frame, f"first sendmsg took {first} bytes"
+
+
+def test_write_frame_sends_more_segments_than_one_sendmsg_takes():
+    pieces = Segments(bytes([i % 256]) * (i % 3) for i in range(2500))
+    sock = _ShortSender(HEADER_SIZE + 7)
+    write_frame(sock, 0, 1, 0, 0, pieces)
+    assert sock.sent == encode_frame(Envelope(0, 1, 0, 0, b"".join(pieces)))
+
+
+@pytest.mark.parametrize("count", [1, 3, 40, 1500])
+def test_write_frame_of_segments_on_a_small_socket_buffer(count):
+    rng = random.Random(count)
+    pieces = Segments(rng.randbytes(rng.choice([0, 1, 5, 3000, 20_000])) for _ in range(count))
+    writer, reader = socket.socketpair()
+    writer.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    drain = _Drain(reader)
+    drain.start()
+    with reader:
+        with writer:
+            write_frame(writer, 1, 0, 9, 2, pieces)
+            writer.shutdown(socket.SHUT_WR)
+        drain.join(10)
+    assert not drain.is_alive()
+    assert drain.data == encode_frame(Envelope(1, 0, 9, 2, b"".join(pieces)))
+
+
+def test_write_frame_checks_the_size_of_all_segments_before_writing(monkeypatch):
+    monkeypatch.setattr("packrun.wire.MAX_PAYLOAD", 9)
+    sock = _ShortSender(0)
+    with pytest.raises(FrameError):
+        write_frame(sock, 0, 1, 0, 0, Segments([bytes(5), bytes(5)]))
+    assert sock.sent == b""
 
 
 @pytest.mark.parametrize("timeout", [None, 5.0], ids=["blocking", "timeout"])
@@ -309,6 +356,28 @@ def test_write_frame_allocates_nothing_of_payload_size():
         drain.join(10)
     assert drain.count == HEADER_SIZE + _BIG
     assert peak < _BIG // 16, f"write_frame allocated {peak} bytes"
+
+
+@pytest.mark.parametrize("size", [BY_REFERENCE, _BIG])
+def test_put_bytes_then_send_on_the_mesh_copies_no_payload(size):
+    payload = random.Random(size).randbytes(size)
+    writer, reader = socket.socketpair()
+    drain = _Drain(reader, keep=False)
+    drain.start()
+    mailbox = Mailbox()
+    ctx = TransportContext(0, 2, _MeshBackend(0, {1: writer}, mailbox), mailbox)
+    buf = MsgBuf(ctx).put_u32(7)
+    with reader:
+        tracemalloc.start()
+        try:
+            buf.put_bytes(payload).put_u32(8).send(1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ctx.finalize()
+        drain.join(10)
+    assert drain.count == HEADER_SIZE + 4 + 4 + size + 4
+    assert peak < size // 4, f"put_bytes and send allocated {peak} bytes"
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,24 @@
 """Message buffers: the pack-then-move idiom over both value and wire layers."""
 
+import random
+import tracemalloc
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from packrun.idl import PrimTag, TypeRegistry
-from packrun.msgbuf import MalformedSegmentTable, MsgBuf
+from packrun.msgbuf import BY_REFERENCE, MalformedSegmentTable, MsgBuf
 from packrun.pack import Buffer, Encoding, Prim, Rec, Seq, Str, Truncated, pack
-from packrun.transport import NOT_MEMBER, SegmentCountMismatch, SelfSend
+from packrun.transport import (
+    NOT_MEMBER,
+    Mailbox,
+    SegmentCountMismatch,
+    SelfSend,
+    TransportContext,
+    TransportError,
+)
+from packrun.wire import Envelope, encode_frame, write_frame
 from support import make_world, run_ranks
 
 
@@ -242,3 +255,99 @@ def test_each_put_helper_writes_the_bytes_of_its_inferred_kind(helper, hetero):
     buf = MsgBuf(ctx)
     getattr(buf, helper)(arg)
     assert buf.data == pack(Buffer(buf.encoding), value).data
+
+
+# ---------------------------------------------------------------------------
+# Large bytes held by reference
+
+
+class _FrameRecorder:
+    """A backend that writes each posted frame to itself, standing in for a socket."""
+
+    def __init__(self):
+        self.sent = bytearray()
+
+    def sendmsg(self, buffers, ancdata=(), flags=0):
+        data = b"".join(buffers)
+        self.sent += data
+        return len(data)
+
+    def post(self, src, dest, comm_id, tag, payload, kind):
+        write_frame(self, src, dest, comm_id, tag, payload, kind)
+
+
+_BLOB_SIZES = [0, 5, BY_REFERENCE - 1, BY_REFERENCE, BY_REFERENCE + 1, BY_REFERENCE + 2,
+               BY_REFERENCE + 3]
+_PUTS = st.one_of(
+    st.tuples(st.just("u32"), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("str"), st.text(max_size=5)),
+    st.builds(lambda size, seed, mutable: ("bytes", (bytearray if mutable else bytes)(
+        random.Random(seed).randbytes(size))),
+        st.sampled_from(_BLOB_SIZES), st.integers(0, 2**16), st.booleans()),
+)
+_PUT_VALUES = {"u32": lambda v: (Prim(PrimTag.U32, v), "u32"),
+               "str": lambda v: (Str(v), "string"),
+               "bytes": lambda v: (Seq(v), "seq<u8>")}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.lists(_PUTS, max_size=6), st.booleans())
+def test_held_bytes_send_and_read_back_as_the_packed_bytes(puts, hetero):
+    recorder = _FrameRecorder()
+    ctx = TransportContext(0, 2, recorder, Mailbox(), hetero)
+    packed = Buffer(Encoding.PORTABLE if hetero else Encoding.NATIVE)
+    for helper, arg in puts:
+        pack(packed, *_PUT_VALUES[helper](arg))
+    expected = packed.data
+
+    def filled():
+        buf = MsgBuf(ctx)
+        for helper, arg in puts:
+            getattr(buf, "put_" + helper)(arg)
+        return buf
+
+    filled().send(1, tag=3)
+    assert recorder.sent == encode_frame(Envelope(0, 1, 0, 3, expected))
+
+    buf = filled()
+    assert buf.size == len(expected)
+    assert [getattr(buf, "take_" + helper)() for helper, _ in puts] == [arg for _, arg in puts]
+    assert buf.remaining == 0
+    assert buf.size == len(buf.data) and buf.data == expected
+
+    recorder.sent.clear()
+    with mock.patch("packrun.transport.MAX_PAYLOAD", len(expected) - 1):
+        with pytest.raises(TransportError):
+            filled().send(1)
+    assert recorder.sent == b""
+
+
+def test_collectives_and_pack_segment_read_held_bytes():
+    _, (ctx,) = make_world(1, hetero=True)
+    blob = random.Random(5).randbytes(BY_REFERENCE + 4)
+
+    def filled():
+        return MsgBuf(ctx).put_bytes(blob)
+
+    expected = pack(Buffer(Encoding.PORTABLE), Seq(blob), "seq<u8>").data
+    assert filled().data == expected
+    assert filled().bcast(0).data == expected
+    assert filled().gather(0).data == expected
+    assert MsgBuf(ctx).pack_segment(filled()).scatter(0).data == expected
+    # a portable seq<u8> of 4k bytes is a one-segment scatter table
+    assert filled().scatter(0).data == blob
+
+
+def test_gather_of_a_mebibyte_on_four_members_peaks_at_seven_payloads():
+    size = 1 << 20
+    _, ctxs = make_world(4)
+    bufs = [MsgBuf(ctx).append(bytes(size)) for ctx in ctxs]
+    tracemalloc.start()
+    try:
+        run_ranks(ctxs, lambda ctx: bufs[ctx.rank].gather(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bufs[0].size == 4 * size
+    # three members' snapshots queued at the root, and the four payloads it joins
+    assert peak <= 7.05 * size, f"gather peaked at {peak / size:.2f} payloads"
