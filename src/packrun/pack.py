@@ -17,9 +17,10 @@ reads them back.  Two encodings exist:
 
 Each kind is compiled once per encoding into a pair of closures and its
 fewest encoded bytes, cached per :class:`TypeRegistry` under the kind as
-given (``register`` empties the cache).  The encoder checks each node and
-appends its bytes; the decoder reads at an offset with precompiled structs.
-A path such as ``$.samples[3].weight`` is spelled out only for a failure.
+given (``register`` empties the cache); a ``seq<T>`` compiles its elements
+on its first use.  The encoder checks each node and appends its bytes; the
+decoder reads at an offset with precompiled structs.  A path such as
+``$.samples[3].weight`` is spelled out only for a failure.
 
 Besides a list of values, a :class:`Seq` has two compact forms: ``bytes``
 for ``u8``, and an ``array.array`` for ``i32``, ``u32``, ``i64``, ``u64``,
@@ -45,6 +46,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Iterator, Optional, Union
 
 from .idl import (
@@ -450,18 +452,16 @@ _CACHE_LIMIT = 4096  # kinds compiled per registry before its cache starts over
 def _codec(kind, encoding: Encoding, registry: Optional[TypeRegistry]) -> tuple:
     """Return the ``(enc, dec, size)`` codec of ``kind``, compiling it on first use.
 
-    A compile publishes its named types only once they are complete, so
-    threads sharing the registry never see half a codec.
+    A compile publishes its named types only once they are complete, so neither
+    another thread nor a ``seq<T>`` binding its elements sees half a codec.
     """
     registry = _NO_TYPES if registry is None else registry
     key = (kind, encoding is _PORTABLE)
     codec = registry._codecs.get(key)
     if codec is None:
-        compiled, pending = {}, []
+        compiled: dict = {}
         codec = _compile(parse_kind(kind) if isinstance(kind, str) else kind,
-                         encoding, registry, compiled, pending)
-        while pending:  # seq elements last, so no element size counts a half-built type as 0
-            pending.pop()()
+                         encoding, registry, compiled)
         if len(registry._codecs) > _CACHE_LIMIT:
             registry._codecs.clear()
         registry._codecs.update(compiled)
@@ -476,14 +476,13 @@ def _read(st: struct.Struct, data: memoryview, pos: int):
         raise Truncated(st.size, len(data) - pos) from None
 
 
-def _compile(kind: FieldKind, encoding: Encoding, registry: TypeRegistry, compiled: dict,
-             pending: list) -> tuple:
+def _compile(kind: FieldKind, encoding: Encoding, registry: TypeRegistry, compiled: dict) -> tuple:
     if isinstance(kind, Primitive):
-        if kind.tag is PrimTag.STRING:
-            return _string_codec(encoding)
-        return _scalar_codec(kind.tag, encoding)
+        tag = kind.tag
+        return _string_codec(encoding) if tag is PrimTag.STRING else _scalar_codec(tag, encoding)
+    member = partial(_compile, encoding=encoding, registry=registry, compiled=compiled)
     if isinstance(kind, (Sequence, FixedArray)):
-        return _array_codec(kind, encoding, registry, compiled, pending)
+        return _array_codec(kind, encoding, registry, member)
     assert isinstance(kind, Named)
     name = kind.type_name
     key = (name, encoding is Encoding.PORTABLE)
@@ -495,13 +494,11 @@ def _compile(kind: FieldKind, encoding: Encoding, registry: TypeRegistry, compil
             raise UnknownType(name)
         return unknown, unknown, 0
     # reached again from its own body, bypassing seq (validate() rejects that): 0 bytes
-    cell: list = []
-    compiled[key] = (lambda out, value: cell[0](out, value),
-                     lambda data, pos: cell[1](data, pos), 0)
+    compiled[key] = (lambda out, value: codec[0](out, value),
+                     lambda data, pos: codec[1](data, pos), 0)
     desc = registry.resolve(name)
-    make = _record_codec if isinstance(desc, RecordType) else _variant_codec
-    cell.extend(make(desc, encoding, registry, compiled, pending))
-    compiled[key] = codec = tuple(cell)
+    compiled[key] = codec = (_record_codec(desc, member) if isinstance(desc, RecordType)
+                             else _variant_codec(desc, encoding, member))
     return codec
 
 
@@ -557,53 +554,48 @@ def _string_codec(encoding: Encoding) -> tuple:
     return enc, dec, 4
 
 
-def _array_codec(kind, encoding: Encoding, registry: TypeRegistry, compiled: dict,
-                 pending: list) -> tuple:
-    """Codec of a ``seq<T>`` or ``[T; n]``: the container's checks around ``_elements``."""
-    element = kind.element
+def _array_codec(kind, encoding: Encoding, registry: TypeRegistry, member) -> tuple:
+    """Codec of a ``seq<T>`` or ``[T; n]``: the container's checks around ``_elements``.
+
+    A ``[T; n]`` binds its elements now, within this compile (``member``), as
+    its size ``n * size`` needs theirs; a ``seq<T>`` binds them on first use.
+    """
+    element, fixed = kind.element, isinstance(kind, FixedArray)
     is_bytes = element == Primitive(PrimTag.U8)
-    element_name = format_kind(element)
+    of = f"{'array' if fixed else 'sequence'} of {format_kind(element)}"
+    lo, hi = (kind.length, kind.length) if fixed else (0, MAX_LENGTH)
+    length = None if fixed else struct.Struct(_scalar_fmt(encoding, PrimTag.U32))  # the count
+    sized = f"array of {hi} elements" if fixed else f"sequence of at most {MAX_LENGTH} elements"
+    put = get = per_element = None
 
-    if isinstance(kind, FixedArray):
-        n = kind.length
-        put, get, size = _elements(element, encoding, registry, compiled, pending, True)
-
-        def enc_fixed(out, value):
-            if not isinstance(value, Seq):
-                raise _Mismatch(f"array of {n} elements", _describe(value))
-            if len(value._items) != n:
-                raise _Mismatch(f"array of {n} elements", f"{len(value._items)} elements")
-            if type(value._items) is bytes and not is_bytes:
-                raise _Mismatch(f"array of {element_name}", "byte sequence")
-            put(out, value)
-
-        return enc_fixed, lambda data, pos: get(data, pos, n), n * size
-
-    length = struct.Struct(_scalar_fmt(encoding, PrimTag.U32))
-    put = get = per_element = None  # set by finish, which _codec runs last
-
-    def finish():
+    def bind():
         nonlocal put, get, per_element
-        put, get, per_element = _elements(element, encoding, registry, compiled, pending, False)
-
-    pending.append(finish)
+        codec = member(element) if fixed else _codec(element, encoding, registry)
+        # assigned in order: a thread that finds per_element set finds put and get set
+        put, get, per_element = _elements(element, encoding, fixed, codec)
 
     def enc(out, value):
         if not isinstance(value, Seq):
-            raise _Mismatch(f"sequence of {element_name}", _describe(value))
+            raise _Mismatch(sized if fixed else of, _describe(value))
         count = len(value._items)
-        if count > MAX_LENGTH:
-            raise _Mismatch(f"sequence of at most {MAX_LENGTH} elements", f"{count} elements")
+        if not lo <= count <= hi:
+            raise _Mismatch(sized, f"{count} elements")
         if type(value._items) is bytes and not is_bytes:
-            raise _Mismatch(f"sequence of {element_name}", "byte sequence")
-        if count > MAX_ZERO_WIDTH and not per_element:
-            raise _Mismatch(f"at most {MAX_ZERO_WIDTH} zero-width elements", f"{count} elements")
-        out += length.pack(count)
+            raise _Mismatch(of, "byte sequence")
+        if per_element is None:
+            bind()
+        if length is not None:
+            if count > MAX_ZERO_WIDTH and not per_element:
+                raise _Mismatch(f"at most {MAX_ZERO_WIDTH} zero-width elements", f"{count} elements")
+            out += length.pack(count)
         put(out, value)
 
     def dec(data, pos):
-        count = _read(length, data, pos)
-        pos += 4
+        if per_element is None:
+            bind()
+        if length is None:
+            return get(data, pos, hi)
+        count, pos = _read(length, data, pos), pos + 4
         if count > MAX_LENGTH:
             raise PackError(f"sequence count {count} exceeds the {MAX_LENGTH} element maximum")
         if not is_bytes:
@@ -616,12 +608,13 @@ def _array_codec(kind, encoding: Encoding, registry: TypeRegistry, compiled: dic
                     f"sequence of {count} zero-width elements exceeds the {MAX_ZERO_WIDTH} maximum")
         return get(data, pos, count)
 
-    return enc, dec, 4
+    if fixed:
+        bind()
+    return enc, dec, hi * per_element if fixed else 4
 
 
-def _elements(element: FieldKind, encoding: Encoding, registry: TypeRegistry, compiled: dict,
-              pending: list, fixed: bool) -> tuple:
-    """Return ``put(out, seq)``, ``get(data, pos, count)`` and the element's size."""
+def _elements(element: FieldKind, encoding: Encoding, fixed: bool, codec: tuple) -> tuple:
+    """Return ``put(out, seq)``, ``get(data, pos, count)`` and the size of an element (``codec``)."""
     portable = encoding is Encoding.PORTABLE
     tag = element.tag if isinstance(element, Primitive) else None
 
@@ -677,7 +670,7 @@ def _elements(element: FieldKind, encoding: Encoding, registry: TypeRegistry, co
 
         return put_numbers, get_numbers, unit
 
-    enc, dec, size = _compile(element, encoding, registry, compiled, pending)
+    enc, dec, size = codec
 
     def put_each(out, seq):
         for i, item in enumerate(seq.elements()):
@@ -697,11 +690,10 @@ def _elements(element: FieldKind, encoding: Encoding, registry: TypeRegistry, co
     return put_each, get_each, size
 
 
-def _record_codec(desc: RecordType, encoding: Encoding, registry: TypeRegistry,
-                  compiled: dict, pending: list) -> tuple:
+def _record_codec(desc: RecordType, member) -> tuple:
     name, count = desc.name, len(desc.fields)
     steps = [f".{f.name}" for f in desc.fields]
-    codecs = [_compile(f.kind, encoding, registry, compiled, pending) for f in desc.fields]
+    codecs = [member(f.kind) for f in desc.fields]
 
     def enc(out, value):
         if not isinstance(value, Rec) or value.type_name != name:
@@ -725,12 +717,10 @@ def _record_codec(desc: RecordType, encoding: Encoding, registry: TypeRegistry,
     return enc, dec, sum(size for _, _, size in codecs)
 
 
-def _variant_codec(desc: VariantType, encoding: Encoding, registry: TypeRegistry,
-                   compiled: dict, pending: list) -> tuple:
+def _variant_codec(desc: VariantType, encoding: Encoding, member) -> tuple:
     name = desc.name
     length = struct.Struct(_scalar_fmt(encoding, PrimTag.U32))
-    arms = [(a.name, a.payload and _compile(a.payload, encoding, registry, compiled, pending))
-            for a in desc.arms]
+    arms = [(a.name, a.payload and member(a.payload)) for a in desc.arms]
 
     def enc(out, value):
         if not isinstance(value, Var) or value.type_name != name:

@@ -36,6 +36,7 @@ import struct
 import threading
 import time
 from bisect import bisect_left
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -260,7 +261,7 @@ class Mailbox:
 
     def __init__(self):
         self._cond = threading.Condition()
-        self._queues: dict[tuple, list[tuple[int, Envelope]]] = {}
+        self._queues: dict[tuple, deque[tuple[int, Envelope]]] = {}
         self._arrivals = 0
         self._closed = False
         self.reader = None  # a backend whose read(timeout) files arrivals, and wake() ends it
@@ -271,7 +272,10 @@ class Mailbox:
             if self._closed:
                 return
             key = (env.kind, env.comm_id, env.src, env.tag if env.kind == KIND_DATA else None)
-            self._queues.setdefault(key, []).append((self._arrivals, env))
+            queue = self._queues.get(key)
+            if queue is None:
+                self._queues[key] = queue = deque()
+            queue.append((self._arrivals, env))
             self._arrivals += 1
             self._cond.notify_all()
 
@@ -293,7 +297,7 @@ class Mailbox:
                     key = (kind, comm_id, src, tag if kind == KIND_DATA else None)
                 queue = self._queues.get(key)
                 if queue is not None:
-                    env = queue.pop(0)[1]
+                    env = queue.popleft()[1]
                     if not queue:
                         del self._queues[key]
                     return env
