@@ -5,7 +5,7 @@ The pieces, bottom up:
 - idl: type definitions and the registry they compile into.
 - pack: dynamic values and the two wire encodings (Native, Portable).
 - transport / mesh: point-to-point and collective delivery between ranks,
-  in-process or over a socket mesh built on listeners the launcher binds.
+  in-process or over the socket connections the launcher makes between them.
 - msgbuf: the user-facing buffer that packs values and moves itself.
 - spmd: scoped enter/exit for one rank of a run.
 - slave: the master-slave task farm.

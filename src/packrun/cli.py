@@ -7,6 +7,7 @@ bench and demo expose the measurement tools as subcommands.
 """
 
 import argparse
+import signal
 import sys
 from typing import List, Optional
 
@@ -23,6 +24,10 @@ def _exit_status(codes: List[int]) -> int:
         if code != 0:
             return code if code > 0 else 128 + abs(code)
     return 0
+
+
+def _exit_on_signal(signum, _frame) -> None:
+    raise SystemExit(128 + signum)  # unwinds the launch, which kills every rank on the way out
 
 
 def mprun_main(argv: Optional[List[str]] = None) -> int:
@@ -44,7 +49,7 @@ def mprun_main(argv: Optional[List[str]] = None) -> int:
                         default="process",
                         help="rank container (default: process)")
     parser.add_argument("--timeout", type=float, default=10.0, metavar="SECS",
-                        help="rendezvous window (default: 10)")
+                        help="window for every rank to reach init (default: 10)")
     parser.add_argument("--hetero", action="store_true",
                         help="force the portable wire encoding everywhere")
     ns = parser.parse_args(head)
@@ -60,11 +65,16 @@ def mprun_main(argv: Optional[List[str]] = None) -> int:
     plan = LaunchPlan(nprocs=ns.nprocs, program=tail[0], args=tuple(tail[1:]),
                       backend=BackendKind(ns.backend), timeout=ns.timeout,
                       hetero=ns.hetero)
+    previous = {sig: signal.signal(sig, _exit_on_signal)
+                for sig in (signal.SIGTERM, signal.SIGHUP)}
     try:
         codes = launch(plan)
     except (LaunchError, TransportError) as exc:
         print(f"mprun: {exc}", file=sys.stderr)
         return 1
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
 
     for rank, code in enumerate(codes):
         if code != 0:

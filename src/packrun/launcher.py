@@ -1,23 +1,19 @@
 """Start N ranks of a program and collect their exit codes.
 
-Two backends share one entry point. The process backend binds one loopback
-listener and opens one pipe per rank before it spawns anything. Each child
-interpreter inherits its own listener and the write end of its own pipe,
-and learns every rank's port from PACKRUN_* environment variables, so it
-builds its part of the mesh on its own (see :mod:`packrun.mesh`) and then
-writes one byte to its pipe. The launcher waits for a byte from every rank;
-if a rank exits first, or the rendezvous window passes, every child is
-killed so no orphans survive. The thread backend runs every rank inside
-this process: each rank gets its own logical-process slot with a
-pre-attached in-process transport, then the program file is executed as
-__main__ in a dedicated thread.
+Two backends share one entry point. The process backend connects every pair
+of ranks (:func:`packrun.mesh.connected_pairs`) and opens one pipe per rank
+before it spawns any. Each child inherits its ends of those connections and
+its pipe's write end, named in PACKRUN_* variables, and writes one byte to the
+pipe once it holds them. If a rank exits before its byte, or the window
+passes, every child is killed, so no orphans survive. The thread backend runs
+each rank as a thread of this process, with its own logical-process slot and
+a pre-attached in-process transport, executing the program as __main__.
 """
 
 import logging
 import os
 import runpy
 import selectors
-import socket
 import subprocess
 import sys
 import threading
@@ -27,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._slots import Slot, install_slot
-from .mesh import LOOPBACK
+from .mesh import connected_pairs
 from .transport import BackendKind, InProcessWorld, RendezvousTimeout, WorldConfig
 
 _log = logging.getLogger(__name__)
@@ -50,9 +46,9 @@ class LaunchPlan:
 
     run_timeout is one deadline for all ranks together, from the moment the
     last process rank joins the mesh or the start of thread ranks (None =
-    wait forever); timeout bounds the rendezvous, in the launcher and in
-    every rank.  per_rank_env is added to each rank's environment on the
-    process backend only; thread ranks share this process's environment.
+    wait forever); timeout bounds making the connections, then every process
+    rank's way to ``init``.  per_rank_env is added to each rank's environment
+    on the process backend only; thread ranks share this process's environment.
     """
 
     nprocs: int
@@ -139,27 +135,28 @@ def _await_mesh(procs: Sequence[subprocess.Popen], ready: Sequence[int], timeout
 def _launch_processes(plan: LaunchPlan) -> List[int]:
     argv = [sys.executable, plan.program, *plan.args]
     procs: List[subprocess.Popen] = []
-    handed: List[int] = []  # rank r's listener and pipe write end at 2r and 2r + 1
-    ready: List[int] = []   # rank r's pipe read end at r
+    handed: List[List[int]] = []  # what rank r inherits, held here until it is spawned
+    ready: List[int] = []         # rank r's pipe read end at r
     try:
-        ports = []
-        for _ in range(plan.nprocs):
-            with socket.create_server((LOOPBACK, 0), backlog=plan.nprocs) as listener:
-                ports.append(listener.getsockname()[1])
-                handed.append(listener.detach())
-            read_end, write_end = os.pipe()
-            ready.append(read_end)
-            handed.append(write_end)
-        for rank in range(plan.nprocs):
-            listen_fd, ready_fd = handed[2 * rank:2 * rank + 2]
-            config = WorldConfig(my_rank_hint=rank, hetero=plan.hetero, timeout=plan.timeout,
-                                 ports=tuple(ports), listen_fd=listen_fd, ready_fd=ready_fd)
+        try:
+            ends = connected_pairs(plan.nprocs, plan.timeout)
+            handed = [[fd for fd in row if fd is not None] for row in ends]
+            for mine in handed:
+                read_end, write_end = os.pipe()
+                ready.append(read_end)
+                mine.append(write_end)
+        except OSError as exc:
+            raise LaunchError(f"could not connect {plan.nprocs} ranks: {exc}") from exc
+        for rank, mine in enumerate(handed):
+            config = WorldConfig(my_rank_hint=rank, hetero=plan.hetero, fds=tuple(ends[rank]),
+                                 ready_fd=mine[-1])
             env = {**os.environ, **plan.per_rank_env, **config.to_env()}
             try:
-                procs.append(subprocess.Popen(argv, env=env, pass_fds=(listen_fd, ready_fd)))
+                procs.append(subprocess.Popen(argv, env=env, pass_fds=mine))
             except OSError as exc:
                 raise SpawnFailure(rank, str(exc)) from exc
-        _close(handed)  # the ranks hold the only copies, so a rank's exit ends its pipe
+            finally:  # the rank holds the only copies, so its exit ends its pipe and connections
+                _close(mine)
 
         _await_mesh(procs, ready, plan.timeout)
 
@@ -174,8 +171,7 @@ def _launch_processes(plan: LaunchPlan) -> List[int]:
         return codes
     finally:
         _kill_all(procs)
-        _close(handed)
-        _close(ready)
+        _close([fd for mine in handed for fd in mine] + ready)
 
 
 # ---------------------------------------------------------------------------

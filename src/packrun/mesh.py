@@ -1,15 +1,8 @@
 """TCP socket-mesh backend: one OS process per rank, a full mesh of connections.
 
-The launcher binds every rank's loopback listener before it starts any rank,
-and hands each rank its own listener together with every rank's port (see
-:mod:`packrun.launcher`).  The mesh is built with a fixed orientation: lower
-ranks dial higher ranks, higher ranks accept.  A dial lands in the peer's
-listen backlog even before the peer runs, so no start-up order can deadlock.
-A dialing side introduces itself with a 9-byte hello, its rank and whether
-it uses the portable encoding, so the acceptor knows which rank is on the
-wire and refuses a rank claimed twice or a world that mixes encodings.  Once
-its connections are up, a rank writes one byte to the descriptor the
-launcher gave it for that.
+The launcher connects every pair of ranks before it starts any of them
+(:func:`connected_pairs`), and each rank adopts its ends of those connections
+(:func:`connect_mesh`).  No rank listens on a port, dials or accepts.
 
 A rank keeps no reader thread: a thread that waits in the mailbox reads the
 sockets for the whole rank (see :class:`packrun.transport.Mailbox`).
@@ -28,31 +21,45 @@ from __future__ import annotations
 import os
 import selectors
 import socket
-import struct
 import threading
-import time
+from contextlib import suppress
 
-from .transport import (
-    InvalidRank,
-    Mailbox,
-    RankConflict,
-    RendezvousTimeout,
-    TransportContext,
-    TransportError,
-    WorldConfig,
-)
-from .wire import FrameError, read_frame, recv_all, write_frame
+from .transport import InvalidRank, Mailbox, TransportContext, TransportError, WorldConfig
+from .wire import FrameError, read_frame, write_frame
 
-_HELLO = struct.Struct(">4sI?")  # magic, the dialer's rank, whether it is portable
-_HELLO_MAGIC = b"HELO"
-LOOPBACK = "127.0.0.1"  # every rank's listener is bound here
+LOOPBACK = "127.0.0.1"  # every connection of the mesh is made here
 
 
-def _remaining(deadline: float, total: float) -> float:
-    left = deadline - time.monotonic()
-    if left <= 0:
-        raise RendezvousTimeout(total)
-    return left
+def connected_pairs(nprocs: int, timeout: float) -> list:
+    """One loopback TCP connection per pair of ranks: ``ends[r][q]`` is rank r's end to q.
+
+    Each end is a blocking socket's descriptor with ``TCP_NODELAY`` set, and
+    ``ends[r][r]`` is None.  The one listener keeps only its own dialer's
+    connections, closing any other; ``timeout`` bounds each dial and accept.
+    """
+    ends = [[None] * nprocs for _ in range(nprocs)]
+    try:
+        with socket.create_server((LOOPBACK, 0)) as listener:
+            listener.settimeout(timeout)
+            address = listener.getsockname()
+            for r in range(nprocs):
+                for q in range(r + 1, nprocs):
+                    with socket.create_connection(address, timeout=timeout) as dialer:
+                        while True:
+                            conn, peer = listener.accept()
+                            if peer == dialer.getsockname():
+                                break
+                            conn.close()  # a stray dial, not ours
+                        with conn:
+                            for sock in dialer, conn:
+                                sock.settimeout(None)  # a rank inherits the blocking mode
+                                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                            ends[r][q], ends[q][r] = dialer.detach(), conn.detach()
+    except BaseException:
+        for fd in (fd for row in ends for fd in row if fd is not None):
+            os.close(fd)
+        raise
+    return ends
 
 
 class _MeshBackend:
@@ -114,69 +121,39 @@ class _MeshBackend:
                 sock.close()
 
 
-def _hello_from(conn: socket.socket, rank: int, hetero: bool, conns: dict) -> int:
-    """The lower rank that ``conn`` introduces itself as; any other hello is refused."""
-    hello = recv_all(conn, _HELLO.size)
-    magic, peer, portable = _HELLO.unpack(hello)
-    if magic != _HELLO_MAGIC or not 0 <= peer < rank:
-        raise TransportError(f"unexpected mesh hello: {hello!r}")
-    if peer in conns:
-        raise RankConflict(peer)
-    if portable != hetero:
-        raise TransportError("mixed-encoding world: all ranks must agree on --hetero")
-    return peer
-
-
 def connect_mesh(config: WorldConfig) -> TransportContext:
-    """Join the world described by ``config``: dial the higher ranks, accept the lower.
+    """Join the world by adopting ``config.fds``, this rank's connection ends by peer rank.
 
-    ``config.listen_fd`` (this rank's listener) and ``config.ready_fd`` are
-    taken over and closed on return, whether the mesh came up or not.  A rank
-    outside ``config.ports`` raises InvalidRank; a missing listener raises
-    TransportError.
+    Every descriptor in ``config.fds`` is closed if joining fails.
+    ``config.ready_fd`` gets one byte once the connections are adopted, and is
+    closed on return.  A rank outside ``config.fds`` raises InvalidRank; a
+    missing or unusable connection raises TransportError.
     """
-    rank, nprocs, hetero = config.my_rank_hint, len(config.ports), config.hetero
-    total = config.timeout
-    deadline = time.monotonic() + total
+    rank, fds = config.my_rank_hint, config.fds
     conns: dict[int, socket.socket] = {}
     try:
-        try:
-            if config.listen_fd is None:
-                raise TransportError("a mesh rank needs its listener")
-            # closed once every peer is connected, so nobody else may dial in
-            with socket.socket(fileno=config.listen_fd) as listener:
-                if rank not in range(nprocs):
-                    raise InvalidRank(rank)
-                for q in range(rank + 1, nprocs):
-                    conns[q] = conn = socket.create_connection(
-                        (LOOPBACK, config.ports[q]), timeout=_remaining(deadline, total))
-                    conn.sendall(_HELLO.pack(_HELLO_MAGIC, rank, hetero))
-                for _ in range(rank):
-                    listener.settimeout(_remaining(deadline, total))
-                    conn, _addr = listener.accept()
-                    try:
-                        conn.settimeout(_remaining(deadline, total))
-                        conns[_hello_from(conn, rank, hetero, conns)] = conn
-                    except BaseException:
-                        conn.close()
-                        raise
-                for conn in conns.values():
-                    conn.settimeout(None)
-                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                if config.ready_fd is not None:
-                    os.write(config.ready_fd, b"\x01")
-                # made while the listener is open, so none of its descriptors reuses that number
-                mailbox = Mailbox()
-                backend = _MeshBackend(rank, conns, mailbox)
-        except socket.timeout:
-            raise RendezvousTimeout(total) from None
-        except (OSError, struct.error, FrameError) as exc:
+        if rank not in range(len(fds)):
+            raise InvalidRank(rank)
+        for peer, fd in enumerate(fds):
+            if peer != rank:
+                if fd is None:
+                    raise TransportError(f"no connection to rank {peer}")
+                conns[peer] = socket.socket(fileno=fd)
+        if config.ready_fd is not None:
+            os.write(config.ready_fd, b"\x01")
+        mailbox = Mailbox()
+        backend = _MeshBackend(rank, conns, mailbox)
+    except BaseException as exc:
+        for peer, fd in enumerate(fds):
+            if peer in conns:
+                conns[peer].close()
+            elif fd is not None:
+                with suppress(OSError):
+                    os.close(fd)
+        if isinstance(exc, OSError):
             raise TransportError(f"mesh establishment failed: {exc}") from exc
-    except BaseException:
-        for conn in conns.values():
-            conn.close()
         raise
     finally:
         if config.ready_fd is not None:
             os.close(config.ready_fd)
-    return TransportContext(rank, nprocs, backend, mailbox, hetero)
+    return TransportContext(rank, len(fds), backend, mailbox, config.hetero)

@@ -12,8 +12,8 @@ reads like a C++ stream::
 
 Buffers default to the native encoding; a heterogeneous world (one whose
 ranks may differ in architecture) switches every buffer to the portable
-encoding.  The launcher decides it for the whole world, and each mesh
-hello carries it, so a rank refuses a peer that encodes differently.
+encoding.  The launcher decides it once for the whole world and hands the
+same choice to every rank, so no two ranks of a world encode differently.
 """
 
 from __future__ import annotations

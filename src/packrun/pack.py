@@ -43,6 +43,7 @@ import math
 import operator
 import struct
 import sys
+import threading
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -64,9 +65,27 @@ from .idl import (
 )
 
 MAX_LENGTH = 2**31 - 1  # elements in a seq / bytes in a string
-# Most elements a seq may hold when they encode to no bytes (records with no
-# fields): nothing else stops four hostile bytes asking decode for MAX_LENGTH.
+# Most elements that encode to no bytes (records with no fields) the seqs of
+# one pack or unpack may hold together: nothing else stops four hostile bytes
+# asking decode for MAX_LENGTH of them, or a few nested counts for millions.
 MAX_ZERO_WIDTH = 2**16
+
+
+class _ZeroWidth(threading.local):
+    used = 0  # zero-width seq elements in this thread's current pack or unpack
+
+
+_zero_width = _ZeroWidth()
+# Set before any count is made, when the first seq<T> of a zero-width T binds.
+# Until then every count is 0, so pack and unpack skip the reset, which costs
+# the calls of a program that has no such seq nothing.
+_zero_width_seqs = False
+
+
+def _count_zero_width(count: int) -> int:
+    """Add ``count`` to the current call's zero-width elements and return the total."""
+    _zero_width.used += count
+    return _zero_width.used
 
 
 class Encoding(Enum):
@@ -570,9 +589,12 @@ def _array_codec(kind, encoding: Encoding, registry: TypeRegistry, member) -> tu
 
     def bind():
         nonlocal put, get, per_element
+        global _zero_width_seqs
         codec = member(element) if fixed else _codec(element, encoding, registry)
+        bound = _elements(element, encoding, fixed, codec)
+        _zero_width_seqs = _zero_width_seqs or not (bound[2] or fixed)  # before any count
         # assigned in order: a thread that finds per_element set finds put and get set
-        put, get, per_element = _elements(element, encoding, fixed, codec)
+        put, get, per_element = bound
 
     def enc(out, value):
         if not isinstance(value, Seq):
@@ -585,8 +607,9 @@ def _array_codec(kind, encoding: Encoding, registry: TypeRegistry, member) -> tu
         if per_element is None:
             bind()
         if length is not None:
-            if count > MAX_ZERO_WIDTH and not per_element:
-                raise _Mismatch(f"at most {MAX_ZERO_WIDTH} zero-width elements", f"{count} elements")
+            if not per_element and _count_zero_width(count) > MAX_ZERO_WIDTH:
+                raise _Mismatch(f"at most {MAX_ZERO_WIDTH} zero-width elements in a message",
+                                f"{_zero_width.used} elements")
             out += length.pack(count)
         put(out, value)
 
@@ -600,12 +623,12 @@ def _array_codec(kind, encoding: Encoding, registry: TypeRegistry, member) -> tu
             raise PackError(f"sequence count {count} exceeds the {MAX_LENGTH} element maximum")
         if not is_bytes:
             # Reject hostile counts before allocating (a byte payload is
-            # checked exactly when read); zero-width elements have a cap.
+            # checked exactly when read); zero-width elements share a cap.
             if per_element and count * per_element > len(data) - pos:
                 raise Truncated(count * per_element, len(data) - pos)
-            if not per_element and count > MAX_ZERO_WIDTH:
-                raise PackError(
-                    f"sequence of {count} zero-width elements exceeds the {MAX_ZERO_WIDTH} maximum")
+            if not per_element and _count_zero_width(count) > MAX_ZERO_WIDTH:
+                raise PackError(f"{_zero_width.used} zero-width elements exceed the "
+                                f"{MAX_ZERO_WIDTH} a message may hold")
         return get(data, pos, count)
 
     if fixed:
@@ -771,6 +794,8 @@ def pack(buf: Buffer, value: DynValue, kind=None,
     """
     out = buf._writable()
     start = len(out)
+    if _zero_width_seqs:
+        _zero_width.used = 0
     try:
         _codec(kind if kind is not None else infer_kind(value), buf.encoding, registry)[0](out, value)
     except BaseException as exc:
@@ -792,6 +817,8 @@ def unpack(buf: Buffer, kind, registry: Optional[TypeRegistry] = None) -> DynVal
     unpack leaves the cursor where it was.
     """
     dec = _codec(kind, buf.encoding, registry)[1]
+    if _zero_width_seqs:
+        _zero_width.used = 0
     with memoryview(buf._data) as data:
         try:
             value, buf._cursor = dec(data, buf._cursor)

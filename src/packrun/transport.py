@@ -66,11 +66,9 @@ WORLD_COMM_ID = 0
 # A mesh rank's hand-over in its environment: WorldConfig.to_env writes it, from_env reads it
 ENV_RANK = "PACKRUN_RANK"
 ENV_NPROCS = "PACKRUN_NPROCS"
-ENV_PORTS = "PACKRUN_PORTS"
-ENV_LISTEN_FD = "PACKRUN_LISTEN_FD"
+ENV_FDS = "PACKRUN_FDS"
 ENV_READY_FD = "PACKRUN_READY_FD"
 ENV_HETERO = "PACKRUN_HETERO"
-ENV_TIMEOUT = "PACKRUN_TIMEOUT"
 
 # Control opcodes: the tag of every control-kind envelope a collective posts
 _OP_BARRIER_ENTER = 1
@@ -158,32 +156,23 @@ class BackendKind(Enum):
 
 @dataclass
 class WorldConfig:
-    """A rank's hand-over: with ``ports``, a socket mesh of ``len(ports)`` ranks, else one rank."""
+    """A rank's hand-over: with ``fds``, a socket mesh of ``len(fds)`` ranks, else one rank."""
 
     my_rank_hint: Optional[int] = None
     hetero: bool = False
-    timeout: float = 10.0
-    # a mesh rank's hand-over from the launcher, which binds every listener first
-    ports: tuple = ()                # every rank's loopback port, by rank
-    listen_fd: Optional[int] = None  # this rank's own listener
-    ready_fd: Optional[int] = None   # gets one byte once this rank's mesh is up
+    fds: tuple = ()                 # this rank's end of each connection, by peer; None at its own
+    ready_fd: Optional[int] = None  # gets one byte once this rank holds its connections
 
     @classmethod
     def from_env(cls, env=os.environ) -> "WorldConfig":
-        """Build the configuration a launcher injected, if any.
-
-        A process started by the launcher sees PACKRUN_PORTS and joins the
-        socket mesh; anything else becomes a single-rank world.
-        """
-        ports = env.get(ENV_PORTS)
-        if ports is None:
+        """The mesh rank's configuration a launcher injected (PACKRUN_FDS), else one rank's."""
+        fds = env.get(ENV_FDS)
+        if fds is None:
             return cls()
         return cls(
             my_rank_hint=int(env[ENV_RANK]),
             hetero=env.get(ENV_HETERO, "0") == "1",
-            timeout=float(env.get(ENV_TIMEOUT, cls.timeout)),
-            ports=tuple(int(port) for port in ports.split(",")),
-            listen_fd=int(env[ENV_LISTEN_FD]),
+            fds=tuple(None if fd == "-" else int(fd) for fd in fds.split(",")),
             ready_fd=int(env[ENV_READY_FD]),
         )
 
@@ -191,12 +180,10 @@ class WorldConfig:
         """The variables ``from_env`` reads back as this mesh rank's config."""
         return {
             ENV_RANK: str(self.my_rank_hint),
-            ENV_NPROCS: str(len(self.ports)),  # for the rank's program; packrun counts the ports
-            ENV_PORTS: ",".join(str(port) for port in self.ports),
-            ENV_LISTEN_FD: str(self.listen_fd),
+            ENV_NPROCS: str(len(self.fds)),  # for the rank's program; packrun counts the fds
+            ENV_FDS: ",".join("-" if fd is None else str(fd) for fd in self.fds),
             ENV_READY_FD: str(self.ready_fd),
             ENV_HETERO: "1" if self.hetero else "0",
-            ENV_TIMEOUT: str(self.timeout),
         }
 
 
@@ -599,7 +586,7 @@ def init(config: Optional[WorldConfig] = None) -> TransportContext:
     else:
         if config is None:
             config = WorldConfig.from_env()
-        if config.ports:
+        if config.fds:
             from .mesh import connect_mesh
             ctx = connect_mesh(config)
         else:

@@ -14,7 +14,6 @@ import json
 import os
 import pathlib
 import random
-import socket
 import struct
 import sys
 import threading
@@ -276,43 +275,19 @@ def make_world(nprocs: int, hetero: bool = False):
 
 
 def mesh_configs(nprocs: int, hetero: bool = False, timeout: float = 10.0):
-    """One mesh config per rank, each holding a listener bound here, as the launcher binds them."""
-    from packrun.mesh import LOOPBACK
+    """One mesh config per rank, naming its ends of connections made as the launcher makes them."""
+    from packrun.mesh import connected_pairs
     from packrun.transport import WorldConfig
 
-    fds, ports = [], []
-    for _ in range(nprocs):
-        with socket.create_server((LOOPBACK, 0), backlog=nprocs) as listener:
-            ports.append(listener.getsockname()[1])
-            fds.append(listener.detach())
-    return [WorldConfig(my_rank_hint=rank, hetero=hetero, timeout=timeout, ports=tuple(ports),
-                        listen_fd=fd)
-            for rank, fd in enumerate(fds)]
+    return [WorldConfig(my_rank_hint=rank, hetero=hetero, fds=tuple(fds))
+            for rank, fds in enumerate(connected_pairs(nprocs, timeout))]
 
 
 def make_mesh_world(nprocs: int, hetero: bool = False, timeout: float = 10.0):
-    """Bring up a real TCP mesh with one thread per rank; returns the ctxs."""
+    """Bring up a real TCP mesh inside this process, one context per rank; returns the ctxs."""
     from packrun.mesh import connect_mesh
 
-    ctxs = [None] * nprocs
-    errors = []
-
-    def join_world(config):
-        try:
-            ctxs[config.my_rank_hint] = connect_mesh(config)
-        except Exception as exc:  # surfaced below
-            errors.append(exc)
-
-    joiners = [threading.Thread(target=join_world, args=(config,), daemon=True)
-               for config in mesh_configs(nprocs, hetero, timeout)]
-    for t in joiners:
-        t.start()
-    for t in joiners:
-        t.join(timeout)
-    if errors:
-        raise errors[0]
-    assert all(ctx is not None for ctx in ctxs)
-    return ctxs
+    return [connect_mesh(config) for config in mesh_configs(nprocs, hetero, timeout)]
 
 
 def run_ranks(ctxs, fn, timeout: float = 15.0):

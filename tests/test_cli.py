@@ -2,12 +2,14 @@
 
 import pathlib
 import re
+import signal
 import subprocess
+import time
 
 import pytest
 
 from packrun.cli import bench_main, demo_main, idlc_main, mprun_main
-from support import CONSOLE_SCRIPTS, console_script, program
+from support import CONSOLE_SCRIPTS, console_script, pids_running, program
 
 DEMOS = pathlib.Path(__file__).parent.parent / "demos"
 
@@ -230,3 +232,30 @@ def test_mprun_script_end_to_end():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 5
     assert "rank 0 exited with status 5" in proc.stderr
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGHUP], ids=["TERM", "HUP"])
+def test_a_signal_to_mprun_kills_every_rank(signum):
+    pytest.importorskip("tomllib")
+    argv, env = console_script("mprun")
+    others = set(pids_running("hang.py"))
+    proc = subprocess.Popen([*argv, "-n", "2", "--", program("hang.py")], env=env,
+                            stderr=subprocess.DEVNULL)
+    try:
+        # rank 0 of hang.py leaves at once and rank 1 sleeps, so count every
+        # rank seen, until both have run
+        seen, deadline = set(), time.monotonic() + 30
+        while len(seen) < 2 and time.monotonic() < deadline:
+            seen.update(set(pids_running("hang.py")) - others)
+            time.sleep(0.01)
+        assert len(seen) == 2
+        time.sleep(0.2)  # past the spawn of the last rank
+        proc.send_signal(signum)
+        assert proc.wait(timeout=10) == 128 + signum
+        deadline = time.monotonic() + 10
+        while seen & set(pids_running("hang.py")) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert seen.isdisjoint(pids_running("hang.py"))
+    finally:
+        proc.kill()
+        proc.wait(5)

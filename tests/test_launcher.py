@@ -1,7 +1,9 @@
 """Launcher tests: plans, both backends, exit codes, orphan hygiene."""
 
+import json
 import logging
 import os
+import resource
 import subprocess
 import sys
 import threading
@@ -9,9 +11,8 @@ import time
 
 import pytest
 
-from packrun import transport
 from packrun.launcher import LaunchError, LaunchPlan, SpawnFailure, launch
-from packrun.transport import BackendKind, RendezvousTimeout, WorldConfig
+from packrun.transport import BackendKind, RendezvousTimeout
 
 from support import pids_running, program
 
@@ -164,6 +165,35 @@ def test_a_launch_leaves_the_launchers_descriptors_as_it_found_them():
     assert _open_fds() == before
 
 
+def test_running_out_of_descriptors_while_connecting_fails_before_any_spawn(monkeypatch):
+    # 8 ranks need 56 connection ends; the limit leaves room for about 20.
+    spawned = []
+    monkeypatch.setattr(subprocess, "Popen", lambda *args, **kwargs: spawned.append(args))
+    before = _open_fds()
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    resource.setrlimit(resource.RLIMIT_NOFILE, (max(map(int, before)) + 20, hard))
+    try:
+        with pytest.raises(LaunchError, match="could not connect 8 ranks"):
+            launch(plan(8, "exitcode.py", "0", "0", backend=PROCESS))
+    finally:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+    assert spawned == []
+    assert _open_fds() == before
+
+
+def test_each_process_rank_inherits_exactly_its_own_connections(tmp_path):
+    assert launch(plan(4, "inherited.py", str(tmp_path), backend=PROCESS,
+                       run_timeout=30.0)) == [0, 0, 0, 0]
+    seen = [json.loads((tmp_path / f"rank{rank}.json").read_text()) for rank in range(4)]
+    for rank, held in enumerate(seen):
+        assert held["fds"][rank] is None
+        assert sorted(fd for fd in held["fds"] if fd is not None) == held["sockets"]
+        assert len(held["sockets"]) == 3
+        for peer in range(4):
+            if peer != rank:  # this rank's local address is its peer's remote one
+                assert held["ends"][peer][0] == seen[peer]["ends"][rank][1]
+
+
 def test_run_timeout_kills_stragglers():
     with pytest.raises(LaunchError):
         launch(plan(2, "hang.py", backend=PROCESS, timeout=10.0,
@@ -211,24 +241,6 @@ def test_run_timeout_is_one_deadline_for_all_ranks(backend):
     for runner in set(threading.enumerate()) - before:
         runner.join(5.0)
         assert not runner.is_alive()
-
-
-def test_rendezvous_window_reaches_every_rank(tmp_path):
-    script = tmp_path / "window.py"
-    script.write_text(
-        "import sys\n"
-        "from packrun.spmd import spmd_enter\n"
-        "from packrun.transport import WorldConfig\n"
-        "with spmd_enter() as sctx:\n"
-        "    with open(f'{sys.argv[1]}/rank{sctx.myid}.txt', 'w') as out:\n"
-        "        out.write(str(WorldConfig.from_env().timeout))\n")
-    codes = launch(LaunchPlan(nprocs=2, program=str(script), args=(str(tmp_path),),
-                              backend=PROCESS, timeout=30.0, run_timeout=30.0))
-    assert codes == [0, 0]
-    assert [(tmp_path / f"rank{r}.txt").read_text() for r in range(2)] == ["30.0"] * 2
-    env = WorldConfig(my_rank_hint=1, ports=(9, 10), listen_fd=7, ready_fd=8).to_env()
-    del env[transport.ENV_TIMEOUT]
-    assert WorldConfig.from_env(env).timeout == 10.0
 
 
 def test_per_rank_env_reaches_children(tmp_path):

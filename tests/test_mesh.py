@@ -1,6 +1,7 @@
 """Socket backend: frames, mesh set-up, and a real TCP mesh inside one process."""
 
 import dataclasses
+import errno
 import os
 import random
 import socket
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from packrun.launcher import LaunchPlan, launch
-from packrun.mesh import _MeshBackend, connect_mesh
+from packrun.mesh import _MeshBackend, connect_mesh, connected_pairs
 from packrun.msgbuf import BY_REFERENCE, MsgBuf
 from packrun.transport import (
     NOT_MEMBER,
@@ -22,9 +23,7 @@ from packrun.transport import (
     Finalized,
     InvalidRank,
     Mailbox,
-    RankConflict,
     RecvTimeout,
-    RendezvousTimeout,
     TransportContext,
     TransportError,
     WorldConfig,
@@ -384,30 +383,6 @@ def test_put_bytes_then_send_on_the_mesh_copies_no_payload(size):
 # Mesh set-up (threads standing in for rank processes)
 
 
-def _join_in_background(config):
-    """Run ``connect_mesh(config)`` on a thread; the outcome lands in the returned dict."""
-    outcome = {}
-
-    def join():
-        try:
-            outcome["ctx"] = connect_mesh(config)
-        except Exception as exc:  # surfaced by the test
-            outcome["error"] = exc
-
-    thread = threading.Thread(target=join, daemon=True)
-    thread.start()
-    return thread, outcome
-
-
-def _hello(rank, portable=False):
-    return struct.pack(">4sI?", b"HELO", rank, portable)
-
-
-def _close_listeners(configs):
-    for config in configs:
-        os.close(config.listen_fd)
-
-
 def test_mesh_world_sends_and_collects():
     ctxs = make_mesh_world(3)
     try:
@@ -484,95 +459,128 @@ def test_mesh_carries_hetero_flag():
 
 def test_a_joined_rank_writes_its_ready_byte_and_closes_what_it_was_handed():
     read_end, write_end = os.pipe()
-    config = dataclasses.replace(mesh_configs(1)[0], ready_fd=write_end)
-    ctx = connect_mesh(config)
+    config, peer = mesh_configs(2)
+    ctx = connect_mesh(dataclasses.replace(config, ready_fd=write_end))
     try:
         assert os.read(read_end, 2) == b"\x01"
         assert os.read(read_end, 1) == b""  # the rank's write end is closed
-        with pytest.raises(OSError):
-            os.fstat(config.listen_fd)
     finally:
         os.close(read_end)
+        os.close(peer.fds[0])
         ctx.finalize()
+    with pytest.raises(OSError):
+        os.fstat(config.fds[1])  # the adopted connection closed with the context
 
 
 def test_a_rank_that_fails_to_join_closes_its_ready_descriptor_without_writing():
     read_end, write_end = os.pipe()
-    configs = mesh_configs(2, timeout=0.3)
-    config = dataclasses.replace(configs[1], ready_fd=write_end)
-    _close_listeners(configs[:1])
-    with pytest.raises(RendezvousTimeout):
-        connect_mesh(config)
+    with pytest.raises(TransportError):
+        connect_mesh(WorldConfig(my_rank_hint=1, fds=(None, None), ready_fd=write_end))
     try:
         assert os.read(read_end, 1) == b""
     finally:
         os.close(read_end)
 
 
-def test_rank_conflict_detected():
-    # Rank 2 accepts ranks 0 and 1; two dialers both claim to be rank 0.
-    configs = mesh_configs(3)
-    _close_listeners(configs[:2])
-    thread, outcome = _join_in_background(configs[2])
-    dialers = [socket.create_connection(("127.0.0.1", configs[2].ports[2]), timeout=5)
-               for _ in range(2)]
-    try:
-        for dialer in dialers:
-            dialer.sendall(_hello(0))
-        thread.join(10)
-        assert isinstance(outcome.get("error"), RankConflict)
-        assert outcome["error"].rank == 0
-    finally:
-        for dialer in dialers:
-            dialer.close()
-
-
-def test_mixed_encoding_world_rejected():
-    native, portable = mesh_configs(2)
-    outcomes = [_join_in_background(config)
-                for config in (dataclasses.replace(native, hetero=True), portable)]
-    for thread, _ in outcomes:
-        thread.join(10)
-    acceptor = outcomes[1][1]
-    assert isinstance(acceptor.get("error"), TransportError)
-    assert not isinstance(acceptor["error"], RankConflict)
-    assert "mixed-encoding" in str(acceptor["error"])
-    if "ctx" in outcomes[0][1]:  # the dialer joined before its peer refused it
-        outcomes[0][1]["ctx"].finalize()
-
-
-def test_rendezvous_timeout_when_ranks_missing():
-    # Rank 1 waits for rank 0 to dial, and rank 0 never runs.
-    configs = mesh_configs(2, timeout=0.3)
-    _close_listeners(configs[:1])
-    with pytest.raises(RendezvousTimeout):
-        connect_mesh(configs[1])
-
-
-def test_a_peer_that_never_sends_its_hello_times_out():
-    configs = mesh_configs(2, timeout=0.3)
-    _close_listeners(configs[:1])
-    with socket.create_connection(("127.0.0.1", configs[1].ports[1]), timeout=5):
-        with pytest.raises(RendezvousTimeout):
-            connect_mesh(configs[1])
-
-
 def test_client_requires_rank_and_address():
-    with pytest.raises(TransportError):
-        connect_mesh(WorldConfig(my_rank_hint=0, ports=(1, 2)))
+    with pytest.raises(TransportError, match="no connection to rank 1"):
+        connect_mesh(WorldConfig(my_rank_hint=0, fds=(None, None)))
+    with pytest.raises(InvalidRank):
+        connect_mesh(WorldConfig(my_rank_hint=0, fds=()))
+
+
+def _closed_by_its_peer(fd):
+    """Whether the connection whose other end is ``fd`` was closed; ``fd`` is closed here."""
+    with socket.socket(fileno=fd) as end:
+        end.settimeout(5)
+        return end.recv(1) == b""
 
 
 @pytest.mark.parametrize("rank", [None, -1, 2])
-def test_a_rank_outside_the_ports_is_refused_and_its_descriptors_closed(rank):
+def test_a_rank_outside_the_fds_is_refused_and_its_descriptors_closed(rank):
     config, other = mesh_configs(2)
-    _close_listeners([other])
     read_end, ready_fd = os.pipe()
     with open(read_end, "rb") as ready:
         with pytest.raises(InvalidRank):
             connect_mesh(dataclasses.replace(config, my_rank_hint=rank, ready_fd=ready_fd))
         assert ready.read() == b""  # the write end is closed, and nothing was written
-    with pytest.raises(OSError):
-        os.fstat(config.listen_fd)
+    assert _closed_by_its_peer(other.fds[0])
+
+
+@pytest.mark.parametrize("fault", ["not-a-socket", "missing"])
+def test_a_failed_join_closes_every_descriptor_it_was_handed(fault):
+    # Rank 0 of 4 adopts its end to rank 1, then fails on rank 2's entry.
+    configs = mesh_configs(4)
+    os.close(configs[2].fds[0])
+    pipe_r, pipe_w = os.pipe()
+    fds = list(configs[0].fds)
+    os.close(fds[2])
+    fds[2] = pipe_r if fault == "not-a-socket" else None
+    if fault == "missing":
+        os.close(pipe_r)
+    read_end, ready_fd = os.pipe()
+    try:
+        with pytest.raises(TransportError):
+            connect_mesh(WorldConfig(my_rank_hint=0, fds=tuple(fds), ready_fd=ready_fd))
+        assert os.read(read_end, 1) == b""
+        with pytest.raises(BrokenPipeError):
+            os.write(pipe_w, b"x")  # the pipe's read end is closed too
+        assert _closed_by_its_peer(configs[1].fds[0])  # adopted before the fault
+        assert _closed_by_its_peer(configs[3].fds[0])  # never reached
+    finally:
+        os.close(read_end)
+        os.close(pipe_w)
+        for config in configs[1:]:
+            for peer, fd in enumerate(config.fds):
+                if peer not in (0, config.my_rank_hint):
+                    os.close(fd)
+
+
+def test_a_stray_dial_to_the_pairing_listener_is_closed_not_adopted(monkeypatch):
+    real = socket.create_connection
+    strays = []
+
+    def dial_after_a_stray(address, *args, **kwargs):
+        strays.append(real(address, *args, **kwargs))  # lands in the backlog first
+        return real(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", dial_after_a_stray)
+    configs = mesh_configs(3)
+    monkeypatch.undo()
+    ctxs = [connect_mesh(config) for config in configs]
+    try:
+        assert len(strays) == 3
+        for stray in strays:
+            stray.settimeout(5)
+            assert stray.recv(1) == b""  # closed by the listener
+
+        def ring(ctx):
+            ctx.send(ctx.world, (ctx.rank + 1) % 3, 0, bytes([ctx.rank]))
+            return ctx.recv(ctx.world, (ctx.rank - 1) % 3, 0, timeout=10)[2]
+
+        assert run_ranks(ctxs, ring) == [b"\x02", b"\x00", b"\x01"]
+    finally:
+        for stray in strays:
+            stray.close()
+        for ctx in ctxs:
+            ctx.finalize()
+
+
+def test_a_failure_while_connecting_leaves_no_descriptor_open(monkeypatch):
+    real = socket.create_connection
+    dials = []
+
+    def fail_on_the_fourth(*args, **kwargs):
+        dials.append(args)
+        if len(dials) == 4:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return real(*args, **kwargs)
+
+    before = sorted(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(socket, "create_connection", fail_on_the_fourth)
+    with pytest.raises(OSError, match="Too many open files"):
+        connected_pairs(4, 5.0)
+    assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 def test_mesh_fifo_and_large_payload():
@@ -594,28 +602,6 @@ def test_mesh_fifo_and_large_payload():
         assert results[1][1] == b"tail"
     finally:
         for ctx in ctxs:
-            ctx.finalize()
-
-
-def test_a_hello_split_across_two_writes_still_joins_the_mesh():
-    # Rank 1 of a two-rank world accepts the mesh connection; rank 0 is
-    # played by hand and sends its hello in two TCP segments.
-    configs = mesh_configs(2)
-    _close_listeners(configs[:1])
-    acceptor, joined = _join_in_background(configs[1])
-    with socket.create_connection(("127.0.0.1", configs[1].ports[1]), timeout=5) as dialer:
-        dialer.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        hello = _hello(0)
-        dialer.sendall(hello[:3])
-        time.sleep(0.2)
-        dialer.sendall(hello[3:])
-        acceptor.join(10)
-        assert "error" not in joined, joined.get("error")
-        ctx = joined["ctx"]
-        try:
-            write_frame(dialer, 0, 1, 0, 5, b"after the hello")
-            assert ctx.recv(ctx.world, source=0, tag=5, timeout=5)[2] == b"after the hello"
-        finally:
             ctx.finalize()
 
 

@@ -402,6 +402,64 @@ def test_zero_width_sequence_at_the_bound_round_trips_and_one_more_is_rejected(e
     assert buf.data == snapshot
 
 
+@pytest.mark.parametrize("encoding", [Encoding.PORTABLE, Encoding.NATIVE])
+def test_zero_width_elements_are_bounded_per_message_not_per_sequence(encoding):
+    # Four inner counts of MAX_ZERO_WIDTH: each sequence is at the bound, the
+    # message holds four times it.  Twenty bytes must not decode to 262,144
+    # records: the refusal costs at most about one sequence at the bound (0.1 s,
+    # or twice what this thread takes for one on a slower host), and what pack
+    # refuses unpack refuses.
+    order = ">" if encoding is Encoding.PORTABLE else "="
+    one = struct.pack(order + "I", MAX_ZERO_WIDTH)
+    started = time.thread_time()
+    decode_value(one, encoding, "seq<nothing>", _NOTHING)
+    one_at_the_bound = time.thread_time() - started
+    payload = struct.pack(order + "5I", 4, *[MAX_ZERO_WIDTH] * 4)
+    started = time.thread_time()
+    with pytest.raises(PackError, match="zero-width"):
+        decode_value(payload, encoding, "seq<seq<nothing>>", _NOTHING)
+    assert time.thread_time() - started < max(0.1, 2 * one_at_the_bound)
+    nested = Seq([Seq([Rec("nothing", [])] * MAX_ZERO_WIDTH)] * 4)
+    with pytest.raises(SchemaMismatch, match="zero-width") as err:
+        encode_value(nested, encoding, "seq<seq<nothing>>", _NOTHING)
+    assert err.value.path == "$[1]"
+    half = Seq([Seq([Rec("nothing", [])] * (MAX_ZERO_WIDTH // 2))] * 2)
+    encoded = encode_value(half, encoding, "seq<seq<nothing>>", _NOTHING)
+    assert decode_value(encoded, encoding, "seq<seq<nothing>>", _NOTHING) == half
+    buf = Buffer(encoding, encoded + encoded)
+    assert unpack(buf, "seq<seq<nothing>>", _NOTHING) == half  # each call has its own budget
+    assert unpack(buf, "seq<seq<nothing>>", _NOTHING) == half
+
+
+def test_each_thread_counts_the_zero_width_elements_of_its_own_calls():
+    # Each message holds the whole budget; threads that shared one count, or
+    # a call that kept the previous call's, would refuse one of them.
+    half = Seq([Seq([Rec("nothing", [])] * (MAX_ZERO_WIDTH // 2))] * 2)
+    encoded = encode_value(half, Encoding.NATIVE, "seq<seq<nothing>>", _NOTHING)
+    errors = []
+
+    def decode_repeatedly():
+        try:
+            for _ in range(4):
+                decode_value(encoded, Encoding.NATIVE, "seq<seq<nothing>>", _NOTHING)
+                encode_value(half, Encoding.NATIVE, "seq<seq<nothing>>", _NOTHING)
+        except PackError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=decode_repeatedly) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
 # ---------------------------------------------------------------------------
 # Byte-sequence fast path
 

@@ -82,24 +82,26 @@ def test_config_from_env_defaults_to_single_rank():
 
 
 def test_config_from_env_reads_launcher_variables():
-    env = {"PACKRUN_PORTS": "9009,9010,9011,9012", "PACKRUN_LISTEN_FD": "7",
-           "PACKRUN_READY_FD": "8", "PACKRUN_NPROCS": "4", "PACKRUN_RANK": "2",
-           "PACKRUN_HETERO": "1"}
+    env = {"PACKRUN_FDS": "7,9,-,11", "PACKRUN_READY_FD": "8", "PACKRUN_NPROCS": "4",
+           "PACKRUN_RANK": "2", "PACKRUN_HETERO": "1"}
     config = WorldConfig.from_env(env=env)
     assert config.my_rank_hint == 2
-    assert config.ports == (9009, 9010, 9011, 9012)
-    assert (config.listen_fd, config.ready_fd) == (7, 8)
+    assert config.fds == (7, 9, None, 11)
+    assert config.ready_fd == 8
     assert config.hetero
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(st.integers(0, 2**16), st.lists(st.integers(1, 2**16 - 1), min_size=1).map(tuple),
-       st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1),
-       st.floats(0, allow_nan=False, allow_infinity=False), st.booleans())
-def test_config_to_env_is_read_back_by_from_env(rank, ports, listen_fd, ready_fd, timeout, hetero):
-    config = WorldConfig(my_rank_hint=rank, hetero=hetero, timeout=timeout, ports=ports,
-                         listen_fd=listen_fd, ready_fd=ready_fd)
-    assert WorldConfig.from_env(config.to_env()) == config
+@given(st.lists(st.integers(0, 2**31 - 1), max_size=64).flatmap(
+           lambda peers: st.tuples(st.integers(0, len(peers)), st.just(peers))),
+       st.integers(0, 2**31 - 1), st.booleans())
+def test_config_to_env_is_read_back_by_from_env(rank_and_peers, ready_fd, hetero):
+    rank, peers = rank_and_peers
+    fds = (*peers[:rank], None, *peers[rank:])
+    config = WorldConfig(my_rank_hint=rank, hetero=hetero, fds=fds, ready_fd=ready_fd)
+    env = config.to_env()
+    assert WorldConfig.from_env(env) == config
+    assert env["PACKRUN_NPROCS"] == str(len(fds))
 
 
 # ---------------------------------------------------------------------------
