@@ -38,7 +38,7 @@ _EXPORTS = {
              " NoOutstanding NoSlaves SlaveError TableMismatch slave_loop",
     "spmd": "AlreadyActive GlobalScopeError SpmdContext SpmdError spmd_enter spmd_exit",
     "transport": "ANY NOT_MEMBER AlreadyInitialized BackendKind Communicator EmptySubset Finalized"
-                 " InvalidRank InvalidRoot RankConflict RecvTimeout RendezvousTimeout"
+                 " InvalidRank InvalidRoot RecvTimeout RendezvousTimeout"
                  " SegmentCountMismatch SelfSend TransportContext TransportError WorldConfig init",
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -114,8 +114,7 @@ def _farm_table() -> HandlerTable:
 
 def _timed_farm(durations: List[float], workers: int) -> float:
     """Wall time to run the job list on an in-process farm of `workers`."""
-    world = InProcessWorld(workers + 1)
-    ctxs = [world.attach(rank) for rank in range(workers + 1)]
+    ctxs = InProcessWorld(workers + 1).contexts
 
     slaves = []
     for rank in range(1, workers + 1):

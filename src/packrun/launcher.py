@@ -6,8 +6,9 @@ before it spawns any. Each child inherits its ends of those connections and
 its pipe's write end, named in PACKRUN_* variables, and writes one byte to the
 pipe once it holds them. If a rank exits before its byte, or the window
 passes, every child is killed, so no orphans survive. The thread backend runs
-each rank as a thread of this process, with its own logical-process slot and
-a pre-attached in-process transport, executing the program as __main__.
+each rank's program as __main__ on a thread of this process, as a rank of its
+own (:func:`packrun.transport.rank_thread`) whose ``init`` returns its context
+in one in-process world.
 """
 
 import logging
@@ -22,9 +23,8 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ._slots import Slot, install_slot
 from .mesh import connected_pairs
-from .transport import BackendKind, InProcessWorld, RendezvousTimeout, WorldConfig
+from .transport import BackendKind, InProcessWorld, RendezvousTimeout, WorldConfig, rank_thread
 
 _log = logging.getLogger(__name__)
 
@@ -179,21 +179,19 @@ def _launch_processes(plan: LaunchPlan) -> List[int]:
 
 
 class _RankRunner(threading.Thread):
-    """One rank of the thread backend: private slot, staged transport."""
+    """One rank of the thread backend, running its program with its context staged."""
 
-    def __init__(self, rank: int, ctx, program: str) -> None:
-        super().__init__(name=f"packrun-rank{rank}", daemon=True)
-        self.rank = rank
+    def __init__(self, ctx, program: str) -> None:
+        super().__init__(name=f"packrun-rank{ctx.rank}", daemon=True)
+        self.rank = ctx.rank
         self.exit_code = 0
         self._ctx = ctx
         self._program = program
 
     def run(self) -> None:
-        slot = Slot()
-        slot.staged_transport = self._ctx
-        install_slot(slot)
         try:
-            runpy.run_path(self._program, run_name="__main__")
+            with rank_thread(self._ctx):
+                runpy.run_path(self._program, run_name="__main__")
         except SystemExit as exc:
             code = exc.code
             if isinstance(code, int):
@@ -206,14 +204,12 @@ class _RankRunner(threading.Thread):
             self.exit_code = 1
         finally:
             self._ctx.finalize()
-            install_slot(None)
 
 
 def _launch_threads(plan: LaunchPlan) -> List[int]:
-    world = InProcessWorld(plan.nprocs, hetero=plan.hetero)
     argv = [plan.program, *plan.args]
-    runners = [_RankRunner(rank, world.attach(rank), plan.program)
-               for rank in range(plan.nprocs)]
+    runners = [_RankRunner(ctx, plan.program)
+               for ctx in InProcessWorld(plan.nprocs, hetero=plan.hetero).contexts]
 
     saved_argv = sys.argv
     sys.argv = argv

@@ -65,20 +65,21 @@ from .idl import (
 )
 
 MAX_LENGTH = 2**31 - 1  # elements in a seq / bytes in a string
-# Most elements that encode to no bytes (records with no fields) the seqs of
-# one pack or unpack may hold together: nothing else stops four hostile bytes
-# asking decode for MAX_LENGTH of them, or a few nested counts for millions.
+# Most elements that encode to no bytes (records with no fields) the seqs and
+# arrays of one pack or unpack may hold together: nothing else stops four
+# hostile bytes asking decode for MAX_LENGTH of them, or a few nested counts
+# (or one count of [T; n] elements) for millions.
 MAX_ZERO_WIDTH = 2**16
 
 
 class _ZeroWidth(threading.local):
-    used = 0  # zero-width seq elements in this thread's current pack or unpack
+    used = 0  # zero-width array elements in this thread's current pack or unpack
 
 
 _zero_width = _ZeroWidth()
-# Set before any count is made, when the first seq<T> of a zero-width T binds.
-# Until then every count is 0, so pack and unpack skip the reset, which costs
-# the calls of a program that has no such seq nothing.
+# Set before any count is made, when the first seq<T> or [T; n] of a zero-width
+# T binds. Until then every count is 0, so pack and unpack skip the reset, which
+# costs the calls of a program that has no such array nothing.
 _zero_width_seqs = False
 
 
@@ -592,7 +593,7 @@ def _array_codec(kind, encoding: Encoding, registry: TypeRegistry, member) -> tu
         global _zero_width_seqs
         codec = member(element) if fixed else _codec(element, encoding, registry)
         bound = _elements(element, encoding, fixed, codec)
-        _zero_width_seqs = _zero_width_seqs or not (bound[2] or fixed)  # before any count
+        _zero_width_seqs = _zero_width_seqs or not bound[2]  # before any count
         # assigned in order: a thread that finds per_element set finds put and get set
         put, get, per_element = bound
 
@@ -606,29 +607,27 @@ def _array_codec(kind, encoding: Encoding, registry: TypeRegistry, member) -> tu
             raise _Mismatch(of, "byte sequence")
         if per_element is None:
             bind()
+        if not per_element and _count_zero_width(count) > MAX_ZERO_WIDTH:
+            raise _Mismatch(f"at most {MAX_ZERO_WIDTH} zero-width elements in a message",
+                            f"{_zero_width.used} elements")
         if length is not None:
-            if not per_element and _count_zero_width(count) > MAX_ZERO_WIDTH:
-                raise _Mismatch(f"at most {MAX_ZERO_WIDTH} zero-width elements in a message",
-                                f"{_zero_width.used} elements")
             out += length.pack(count)
         put(out, value)
 
     def dec(data, pos):
         if per_element is None:
             bind()
-        if length is None:
-            return get(data, pos, hi)
-        count, pos = _read(length, data, pos), pos + 4
-        if count > MAX_LENGTH:
-            raise PackError(f"sequence count {count} exceeds the {MAX_LENGTH} element maximum")
-        if not is_bytes:
-            # Reject hostile counts before allocating (a byte payload is
-            # checked exactly when read); zero-width elements share a cap.
-            if per_element and count * per_element > len(data) - pos:
+        count = hi
+        if length is not None:
+            count, pos = _read(length, data, pos), pos + 4
+            if count > MAX_LENGTH:
+                raise PackError(f"sequence count {count} exceeds the {MAX_LENGTH} element maximum")
+            # Reject hostile counts before allocating (a byte payload is checked exactly when read)
+            if per_element and not is_bytes and count * per_element > len(data) - pos:
                 raise Truncated(count * per_element, len(data) - pos)
-            if not per_element and _count_zero_width(count) > MAX_ZERO_WIDTH:
-                raise PackError(f"{_zero_width.used} zero-width elements exceed the "
-                                f"{MAX_ZERO_WIDTH} a message may hold")
+        if not per_element and _count_zero_width(count) > MAX_ZERO_WIDTH:  # one cap per message
+            raise PackError(f"{_zero_width.used} zero-width elements exceed the "
+                            f"{MAX_ZERO_WIDTH} a message may hold")
         return get(data, pos, count)
 
     if fixed:

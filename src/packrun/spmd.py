@@ -25,7 +25,6 @@ import sys
 from typing import Callable, Optional
 
 from . import transport
-from ._slots import current_slot
 from .transport import TransportContext, WorldConfig
 
 
@@ -90,16 +89,14 @@ class SpmdContext:
 
 
 def spmd_enter(config: Optional[WorldConfig] = None) -> SpmdContext:
-    """Join the world and return the scope handle. Once per process lifetime."""
+    """Join the world and return the scope handle. Once per rank: ``init``'s own rule."""
     module = _importing_module()
     if module is not None:
         raise GlobalScopeError(module)
-    slot = current_slot()
-    if slot.spmd_ever_entered:
-        raise AlreadyActive()
-    ctx = transport.init(config)
-    slot.spmd_ever_entered = True
-    return SpmdContext(ctx)
+    try:
+        return SpmdContext(transport.init(config))
+    except transport.AlreadyInitialized:
+        raise AlreadyActive() from None
 
 
 def spmd_exit(sctx: SpmdContext) -> None:

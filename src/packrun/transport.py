@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from ._slots import current_slot
 from .wire import KIND_CONTROL, KIND_DATA, MAX_PAYLOAD, Envelope, Segments
 
 
@@ -97,12 +96,6 @@ class RendezvousTimeout(TransportError):
     def __init__(self, seconds: float):
         super().__init__(f"rendezvous did not complete within {seconds:g} s")
         self.seconds = seconds
-
-
-class RankConflict(TransportError):
-    def __init__(self, rank: int):
-        super().__init__(f"rank {rank} claimed more than once")
-        self.rank = rank
 
 
 class SelfSend(TransportError):
@@ -223,6 +216,13 @@ def _check_rank(comm: Communicator, rank, error=InvalidRank) -> int:
     except TypeError:
         pass
     raise error(rank)
+
+
+def _check_bodies(bodies) -> None:
+    for body in bodies:
+        if len(body) > MAX_PAYLOAD:
+            raise TransportError(
+                f"collective body of {len(body)} bytes exceeds the {MAX_PAYLOAD} maximum")
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +388,7 @@ class TransportContext:
     def _fan_in(self, comm: Communicator, root: int, opcode: int,
                 body: bytes) -> Optional[list[bytes]]:
         """Send ``body`` to ``root``; root gets every member's, in local-rank order."""
+        _check_bodies((body,))
         if comm.local_rank != root:
             self._send_control(comm, root, opcode, body)
             return None
@@ -398,6 +399,7 @@ class TransportContext:
         """Root sends ``bodies[m]`` to each other member ``m``; each returns its own."""
         if comm.local_rank != root:
             return self._recv_control(comm, root, opcode)
+        _check_bodies(bodies)  # before the first post
         for m in range(comm.size):
             if m != root:
                 self._send_control(comm, m, opcode, bodies[m])
@@ -533,28 +535,18 @@ class TransportContext:
 class InProcessWorld:
     """All ranks as threads of one interpreter, queues in shared memory.
 
-    ``attach`` hands out each rank's context exactly once.  Delivery is a
-    direct append to the destination mailbox, so messages to a finalized
-    rank are dropped the way a closed socket would drop them.
+    The world makes every rank's context with itself (``contexts``, by rank),
+    so each exists exactly once.  Delivery is a direct append to the
+    destination mailbox, so messages to a finalized rank are dropped the way
+    a closed socket would drop them.
     """
 
     def __init__(self, nprocs: int, hetero: bool = False):
         if nprocs < 1:
             raise TransportError("a world needs at least one rank")
-        self.nprocs = nprocs
-        self.hetero = hetero
         self._mailboxes = [Mailbox() for _ in range(nprocs)]
-        self._attached: set[int] = set()
-        self._lock = threading.Lock()
-
-    def attach(self, rank: int) -> TransportContext:
-        if not 0 <= rank < self.nprocs:
-            raise InvalidRank(rank)
-        with self._lock:
-            if rank in self._attached:
-                raise RankConflict(rank)
-            self._attached.add(rank)
-        return TransportContext(rank, self.nprocs, self, self._mailboxes[rank], self.hetero)
+        self.contexts = [TransportContext(rank, nprocs, self, mailbox, hetero)
+                         for rank, mailbox in enumerate(self._mailboxes)]
 
     def post(self, src: int, dest: int, comm_id: int, tag: int, payload, kind: int) -> None:
         # The snapshot: the sender may refill a bytearray payload once send returns.
@@ -566,30 +558,54 @@ class InProcessWorld:
 
 
 # ---------------------------------------------------------------------------
-# Process-wide entry point
+# Entry point: once per rank
+
+
+@dataclass
+class _RankState:
+    """A rank's once-only state: the context a thread launcher staged, and whether init ran."""
+
+    staged: Optional[TransportContext] = None
+    initialized: bool = False
+
+
+_process_state = _RankState()  # a process rank's, shared by all its threads
+_thread_state = threading.local()  # .state: a thread-backend rank's, on the thread that runs it
+
+
+def _rank_state() -> _RankState:
+    return getattr(_thread_state, "state", _process_state)
+
+
+@contextmanager
+def rank_thread(ctx: Optional[TransportContext] = None):
+    """Run the block as a rank of its own: its ``init`` returns ``ctx``, or else builds a world."""
+    _thread_state.state = _RankState(ctx)
+    try:
+        yield
+    finally:
+        del _thread_state.state
 
 
 def init(config: Optional[WorldConfig] = None) -> TransportContext:
-    """Bring up this process's rank and connect the world.
+    """Bring up this rank and connect the world; a second call raises AlreadyInitialized.
 
-    Callable at most once per logical process lifetime.  Under a launcher the
-    configuration comes from the environment (socket mesh) or is pre-staged
-    (thread backend); standalone callers get a single-rank world unless they
-    pass an explicit config.
+    The context is the one this thread's ``rank_thread`` staged, else a socket mesh
+    rank's from ``config`` or a launcher's environment, else rank 0 of a one-rank world.
     """
-    slot = current_slot()
-    if slot.transport_initialized:
+    state = _rank_state()
+    if state.initialized:
         raise AlreadyInitialized()
-    if slot.staged_transport is not None:
-        ctx = slot.staged_transport
-        slot.staged_transport = None
-    else:
+    ctx = state.staged
+    if ctx is None:
         if config is None:
             config = WorldConfig.from_env()
         if config.fds:
             from .mesh import connect_mesh
             ctx = connect_mesh(config)
+        elif config.my_rank_hint not in (None, 0):
+            raise InvalidRank(config.my_rank_hint)
         else:
-            ctx = InProcessWorld(1, config.hetero).attach(config.my_rank_hint or 0)
-    slot.transport_initialized = True
+            ctx = InProcessWorld(1, config.hetero).contexts[0]
+    state.initialized = True
     return ctx

@@ -1,8 +1,8 @@
 """Rank 1 never joins the mesh; every other rank enters normally.
 
-Forces the partial-join path: rank 0 joins (its dial waits in rank 1's
-listen backlog) and exits, and the launcher must time out waiting for
-rank 1 and reap it.
+Forces the partial-join path: rank 0 joins (it adopts its connection to
+rank 1, which nothing reads) and exits, and the launcher must time out
+waiting for rank 1's ready byte and reap it.
 """
 
 import os

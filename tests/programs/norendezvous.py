@@ -1,7 +1,7 @@
-"""Never joins the mesh; just sleeps.
+"""Never joins the mesh (never calls init, so never writes its ready byte); just sleeps.
 
-Exists to force a rendezvous timeout and prove the launcher reaps
-the stragglers it started.
+Exists to let the launcher's window pass (RendezvousTimeout) and prove the
+launcher reaps the stragglers it started.
 """
 
 import time

@@ -271,7 +271,7 @@ class _RankThread(threading.Thread):
 
 def make_world(nprocs: int, hetero: bool = False):
     world = InProcessWorld(nprocs, hetero)
-    return world, [world.attach(r) for r in range(nprocs)]
+    return world, world.contexts
 
 
 def mesh_configs(nprocs: int, hetero: bool = False, timeout: float = 10.0):

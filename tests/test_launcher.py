@@ -142,6 +142,14 @@ def test_partial_registration_notifies_and_reaps(tmp_path):
     assert pids_running("half_register.py") == []
 
 
+def test_a_rank_that_closes_its_ready_pipe_and_runs_on_times_out_and_is_reaped():
+    started = time.monotonic()
+    with pytest.raises(RendezvousTimeout):
+        launch(plan(2, "closed_ready.py", backend=PROCESS, timeout=1.5))
+    assert time.monotonic() - started < 10.0
+    assert pids_running("closed_ready.py") == []
+
+
 def test_a_rank_that_exits_before_joining_fails_the_launch_at_once():
     started = time.monotonic()
     with pytest.raises(SpawnFailure) as err:
@@ -260,8 +268,8 @@ def test_per_rank_env_reaches_children(tmp_path):
 
 def test_thread_backend_isolates_main_thread_slot():
     # launching in-process must not consume this thread's once-only state
-    from packrun._slots import current_slot
-    before = current_slot()
+    from packrun.transport import _rank_state
+    before = _rank_state()
     launch(plan(2, "exitcode.py", "0", "0", backend=THREAD, run_timeout=30.0))
-    assert current_slot() is before
-    assert not before.spmd_ever_entered
+    assert _rank_state() is before
+    assert not before.initialized

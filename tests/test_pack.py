@@ -431,6 +431,29 @@ def test_zero_width_elements_are_bounded_per_message_not_per_sequence(encoding):
     assert unpack(buf, "seq<seq<nothing>>", _NOTHING) == half
 
 
+@pytest.mark.parametrize("encoding", [Encoding.PORTABLE, Encoding.NATIVE])
+def test_zero_width_elements_of_fixed_arrays_count_against_the_budget(encoding):
+    # A seq<[nothing; 16]> element spends 1 + 16 of the budget, so four bytes
+    # holding a count of MAX_ZERO_WIDTH must not decode to 16 times it in records.
+    order = ">" if encoding is Encoding.PORTABLE else "="
+    kind = "seq<[nothing; 16]>"
+    started = time.thread_time()
+    with pytest.raises(PackError, match="zero-width"):
+        decode_value(struct.pack(order + "I", MAX_ZERO_WIDTH), encoding, kind, _NOTHING)
+    assert time.thread_time() - started < 0.1
+    fits = MAX_ZERO_WIDTH // 17
+    under = Seq([Seq([Rec("nothing", [])] * 16)] * fits)
+    encoded = encode_value(under, encoding, kind, _NOTHING)
+    assert decode_value(encoded, encoding, kind, _NOTHING) == under
+    over = Seq([Seq([Rec("nothing", [])] * 16)] * (fits + 1))
+    with pytest.raises(SchemaMismatch, match="zero-width"):
+        encode_value(over, encoding, kind, _NOTHING)
+    with pytest.raises(PackError, match="zero-width"):
+        decode_value(struct.pack(order + "I", fits + 1), encoding, kind, _NOTHING)
+    with pytest.raises(PackError, match="zero-width"):
+        decode_value(b"", encoding, f"[nothing; {MAX_ZERO_WIDTH + 1}]", _NOTHING)
+
+
 def test_each_thread_counts_the_zero_width_elements_of_its_own_calls():
     # Each message holds the whole budget; threads that shared one count, or
     # a call that kept the previous call's, would refuse one of them.

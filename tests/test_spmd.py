@@ -6,24 +6,15 @@ import threading
 
 import pytest
 
-from packrun._slots import Slot, install_slot
 from packrun.spmd import AlreadyActive, GlobalScopeError, SpmdContext, spmd_enter, spmd_exit
-from packrun.transport import WorldConfig
+from packrun.transport import WorldConfig, init, rank_thread
 from support import make_world
 
 
 @pytest.fixture
 def fresh_slot():
-    install_slot(Slot())
-    yield
-    install_slot(None)
-
-
-def _stage(ctx):
-    """Pretend a launcher prepared this logical process's transport."""
-    slot = Slot()
-    slot.staged_transport = ctx
-    install_slot(slot)
+    with rank_thread():
+        yield
 
 
 def test_enter_populates_identity(fresh_slot):
@@ -46,6 +37,14 @@ def test_reenter_after_exit_is_still_rejected(fresh_slot):
     spmd_exit(sctx)
     with pytest.raises(AlreadyActive):
         spmd_enter(WorldConfig())
+
+
+def test_enter_after_init_is_rejected_as_already_active(fresh_slot):
+    # one rule for both calls: a rank joins its world once
+    ctx = init(WorldConfig())
+    with pytest.raises(AlreadyActive):
+        spmd_enter(WorldConfig())
+    assert not ctx.finalized
 
 
 def test_exit_is_idempotent(fresh_slot):
@@ -122,14 +121,11 @@ def test_enter_at_import_time_is_rejected(tmp_path, fresh_slot):
 
 def test_staged_transport_adoption():
     _, (ctx,) = make_world(1)
-    _stage(ctx)
-    try:
+    with rank_thread(ctx):  # as the thread launcher runs a rank
         sctx = spmd_enter()
         assert sctx.transport is ctx
         assert sctx.myid == 0
         spmd_exit(sctx)
-    finally:
-        install_slot(None)
 
 
 def test_multi_rank_ids_are_unique():
@@ -138,17 +134,14 @@ def test_multi_rank_ids_are_unique():
     errors = []
 
     def logical_process(ctx):
-        _stage(ctx)
         try:
-            with spmd_enter() as sctx:
+            with rank_thread(ctx), spmd_enter() as sctx:
                 gathered = sctx.transport.gather(sctx.transport.world, 0,
                                                  bytes([sctx.myid]))
                 if gathered is not None:
                     ids["all"] = gathered
         except Exception as exc:
             errors.append(exc)
-        finally:
-            install_slot(None)
 
     threads = [threading.Thread(target=logical_process, args=(c,), daemon=True)
                for c in ctxs]

@@ -9,8 +9,9 @@ import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine, invariant, precondition, rule, run_state_machine_as_test)
 
-from packrun._slots import Slot, install_slot
 from packrun.msgbuf import MsgBuf
 from packrun.transport import (
     ANY,
@@ -18,27 +19,27 @@ from packrun.transport import (
     Communicator,
     EmptySubset,
     Finalized,
-    InProcessWorld,
     InvalidRank,
     InvalidRoot,
+    Mailbox,
     NOT_MEMBER,
-    RankConflict,
+    RecvTimeout,
     SegmentCountMismatch,
     SelfSend,
     TransportError,
     WorldConfig,
     init,
+    rank_thread,
 )
-from packrun.wire import KIND_CONTROL, Envelope
+from packrun.wire import KIND_CONTROL, KIND_DATA, Envelope
 from support import make_mesh_world, make_world, run_ranks
 
 
 @pytest.fixture
 def fresh_slot():
     """Sandbox the once-per-process rules inside a throwaway logical process."""
-    install_slot(Slot())
-    yield
-    install_slot(None)
+    with rank_thread():
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -68,13 +69,6 @@ def test_four_rank_world_identities():
     assert [c.rank for c in ctxs] == [0, 1, 2, 3]
     assert all(c.nprocs == 4 for c in ctxs)
     assert all(c.world.members == (0, 1, 2, 3) for c in ctxs)
-
-
-def test_rank_can_only_attach_once():
-    world = InProcessWorld(2)
-    world.attach(0)
-    with pytest.raises(RankConflict):
-        world.attach(0)
 
 
 def test_config_from_env_defaults_to_single_rank():
@@ -346,6 +340,106 @@ def test_scripted_filters_match_queue_simulation():
         while queue:
             receive(*pending_filter())
         assert c0._mailbox.pending() == 0
+
+
+_SMALL = st.integers(0, 2)  # sources, tags and communicators
+_ENVELOPES = st.lists(st.tuples(st.sampled_from([KIND_DATA, KIND_CONTROL]), _SMALL, _SMALL, _SMALL),
+                      max_size=4)
+
+
+class _FilingReader:
+    """A backend stand-in: each read files every envelope it still holds."""
+
+    def __init__(self, mailbox, envs):
+        self.mailbox, self.envs = mailbox, envs
+
+    def read(self, timeout):
+        while self.envs:
+            self.mailbox.put(self.envs.pop(0))
+
+    def wake(self):
+        pass
+
+
+class _MailboxModel(RuleBasedStateMachine):
+    """One Mailbox against a list: a take's answer is the first entry that matches."""
+
+    def __init__(self):
+        super().__init__()
+        self.mailbox = Mailbox()
+        self.model = []   # filed envelopes, in arrival order
+        self.unread = []  # what the installed reader files when a take finds no match
+        self.closed = False
+        self.serial = 0   # each payload is unique, so an answer names one envelope
+
+    def _envelopes(self, drawn):
+        envs = [Envelope(src, 0, comm, tag, (self.serial + i).to_bytes(4, "big"), kind)
+                for i, (kind, src, comm, tag) in enumerate(drawn)]
+        self.serial += len(envs)
+        return envs
+
+    def _first(self, kind, comm, src, tag):
+        return next((env for env in self.model if env.kind == kind and env.comm_id == comm
+                     and src in (None, env.src)
+                     and (kind == KIND_CONTROL or tag in (None, env.tag))), None)
+
+    def _take(self, kind, comm, src, tag):
+        expected = self._first(kind, comm, src, tag)
+        if expected is None and not self.closed:  # the take reads once, then looks again
+            self.model += self.unread
+            self.unread = []
+            expected = self._first(kind, comm, src, tag)
+        if expected is None:
+            with pytest.raises(Finalized if self.closed else RecvTimeout):
+                self.mailbox.take(kind, comm, src, tag, timeout=0)
+        else:
+            assert self.mailbox.take(kind, comm, src, tag, timeout=0) is expected
+            self.model.remove(expected)
+        assert not self.mailbox._reading
+
+    @rule(drawn=_ENVELOPES)
+    def put(self, drawn):
+        for env in self._envelopes(drawn):
+            self.mailbox.put(env)
+            if not self.closed:
+                self.model.append(env)
+
+    @rule(comm=_SMALL, src=st.none() | _SMALL, tag=st.none() | _SMALL)
+    def take_data(self, comm, src, tag):
+        self._take(KIND_DATA, comm, src, tag)
+
+    @rule(comm=_SMALL, src=_SMALL, opcode=_SMALL)
+    def take_control(self, comm, src, opcode):
+        self._take(KIND_CONTROL, comm, src, opcode)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data(), any_src=st.booleans(), any_tag=st.booleans(), opcode=_SMALL)
+    def take_with_a_pending_ones_filters(self, data, any_src, any_tag, opcode):
+        env = data.draw(st.sampled_from(self.model))
+        if env.kind == KIND_CONTROL:
+            self._take(KIND_CONTROL, env.comm_id, env.src, opcode)
+        else:
+            self._take(KIND_DATA, env.comm_id, None if any_src else env.src,
+                       None if any_tag else env.tag)
+
+    @rule(drawn=_ENVELOPES)
+    def install_reader(self, drawn):
+        self.unread = self._envelopes(drawn)
+        self.mailbox.reader = _FilingReader(self.mailbox, list(self.unread))
+
+    @rule()
+    def close(self):
+        self.mailbox.close()
+        self.closed = True
+
+    @invariant()
+    def pending_is_the_model_length(self):
+        assert self.mailbox.pending() == len(self.model)
+
+
+def test_mailbox_matches_a_list_model():
+    run_state_machine_as_test(_MailboxModel, settings=settings(
+        derandomize=True, database=None, deadline=None, max_examples=60, stateful_step_count=30))
 
 
 def test_round_of_distinct_tags_leaves_no_queues_behind():
@@ -666,6 +760,32 @@ def test_a_broadcast_body_is_one_object_every_member_shares():
     assert all(buf.data == body for buf in bufs)
     # the root's snapshot of its buffer, and nothing per destination
     assert peak < 1.5 * size
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("collective", ["broadcast", "gather", "scatter"])
+def test_a_collective_body_above_the_maximum_is_refused_before_anything_is_posted(
+        monkeypatch, backend, collective):
+    # gather from its poster, scatter from a root whose own segment is too big
+    ctxs = make_world(2)[1] if backend == "thread" else make_mesh_world(2)
+    monkeypatch.setattr("packrun.transport.MAX_PAYLOAD", 8)
+    monkeypatch.setattr("packrun.wire.MAX_PAYLOAD", 8)
+    posted = []
+    for ctx in ctxs:
+        ctx._backend.post = lambda *args: posted.append(args)
+    body = bytes(16)
+    try:
+        with pytest.raises(TransportError, match="16 bytes exceeds the 8 maximum"):
+            if collective == "broadcast":
+                ctxs[0].broadcast(ctxs[0].world, 0, body)
+            elif collective == "gather":
+                ctxs[1].gather(ctxs[1].world, 0, body)
+            else:
+                ctxs[1].scatter(ctxs[1].world, 1, [b"", body])
+        assert posted == []
+    finally:
+        for ctx in ctxs:
+            ctx.finalize()
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,7 @@ def _peak_payloads(ctxs, op: str, size: int) -> float:
 
 
 def collective_time(nprocs: int, sizes: list) -> list:
-    world = InProcessWorld(nprocs)
-    ctxs = [world.attach(rank) for rank in range(nprocs)]
+    ctxs = InProcessWorld(nprocs).contexts
     schedule = [("barrier", 0)] + [(op, size) for size in sizes
                                    for op in ("broadcast", "gather", "scatter")]
     try:

@@ -35,8 +35,7 @@ def _summary(name: str, samples: list) -> str:
 
 
 def farm_overhead(slaves: int, jobs: int) -> str:
-    world = InProcessWorld(slaves + 1)
-    ctxs = [world.attach(rank) for rank in range(slaves + 1)]
+    ctxs = InProcessWorld(slaves + 1).contexts
     threads = [threading.Thread(target=slave_loop, args=(ctx, _table()), daemon=True)
                for ctx in ctxs[1:]]
     for t in threads:

@@ -19,8 +19,7 @@ from packrun.transport import InProcessWorld
 
 
 def median_recv_us(backlog: int, reps: int = 200, same_key: bool = False, **filters) -> float:
-    world = InProcessWorld(2)
-    r0, r1 = world.attach(0), world.attach(1)
+    r0, r1 = InProcessWorld(2).contexts
     for tag in range(1, backlog + 1):
         r1.send(r1.world, 0, 0 if same_key else tag, b"x")
     samples = []
