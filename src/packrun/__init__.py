@@ -30,7 +30,7 @@ _EXPORTS = {
            " UnresolvedType VariantType format_descriptor format_descriptors format_kind"
            " parse_idl parse_kind",
     "launcher": "LaunchError LaunchPlan SpawnFailure launch",
-    "msgbuf": "MalformedSegmentTable MsgBuf",
+    "msgbuf": "MsgBuf",
     "pack": "Buffer Encoding MalformedBool MalformedByte MalformedString MalformedVariantTag"
             " PackError Prim Rec SchemaMismatch Seq Str Truncated UnknownType Var decode_value"
             " encode_value infer_kind pack unpack",

@@ -4,8 +4,8 @@ A :class:`MsgBuf` is a pack buffer bound to a communicator.  Values are
 packed in, then a manipulator-style call moves the bytes: ``send`` ships the
 contents to a peer and leaves the buffer clean for the next message, ``get``
 replaces the contents with a received payload ready for unpacking, and
-``bcast``/``gather``/``scatter`` do the same over collectives.  The chain
-reads like a C++ stream::
+``bcast``/``gather``/``scatter`` do the same over collectives (a ``scatter``
+root passes its parts beside the buffer).  The chain reads like a C++ stream::
 
     buf.put_i32(a).put_f64(b).send(1)          # buf << a << b << send(1)
     x = buf.get().take_i32()                   # buf.get() >> x
@@ -18,12 +18,11 @@ same choice to every rank, so no two ranks of a world encode differently.
 
 from __future__ import annotations
 
-import struct
 from typing import Optional
 
 from .idl import PrimTag, TypeRegistry
 from .pack import MAX_LENGTH, Buffer, DynValue, Encoding, Prim, Seq, Str, pack, unpack
-from .transport import ANY, Communicator, TransportContext, TransportError
+from .transport import ANY, Communicator, TransportContext
 from .wire import Segments
 
 
@@ -31,27 +30,6 @@ from .wire import Segments
 _I32, _U32, _I64, _F64, _BOOL = PrimTag.I32, PrimTag.U32, PrimTag.I64, PrimTag.F64, PrimTag.BOOL
 _NATIVE, _PORTABLE = Encoding.NATIVE, Encoding.PORTABLE
 BY_REFERENCE = 64 << 10  # put_bytes keeps a bytes object at least this long by reference
-
-
-class MalformedSegmentTable(TransportError):
-    def __init__(self, detail: str):
-        super().__init__(f"scatter segment table is malformed: {detail}")
-        self.detail = detail
-
-
-def _parse_segments(data: bytes) -> list[bytes]:
-    segments = []
-    i = 0
-    while i < len(data):
-        if i + 4 > len(data):
-            raise MalformedSegmentTable("truncated length prefix")
-        (n,) = struct.unpack_from(">I", data, i)
-        i += 4
-        if i + n > len(data):
-            raise MalformedSegmentTable(f"segment of {n} bytes overruns the table")
-        segments.append(data[i:i + n])
-        i += n
-    return segments
 
 
 class MsgBuf:
@@ -191,22 +169,10 @@ class MsgBuf:
         parts = self._ctx.gather(self.comm, root, self._joined())
         return self.reset() if parts is None else self.load(b"".join(parts))
 
-    def scatter(self, root: int) -> "MsgBuf":
-        """Slice root's segment table across the members.
-
-        Root's buffer must hold one length-prefixed segment per member (see
-        :meth:`pack_segment`); member i ends up with segment i's bytes.
-        """
-        if self.comm.local_rank == root:
-            return self.load(self._ctx.scatter(self.comm, root, _parse_segments(self.data)))
-        return self.load(self._ctx.scatter(self.comm, root))
-
-    def pack_segment(self, payload) -> "MsgBuf":
-        """Append one scatter segment: u32 big-endian length, then the bytes."""
-        raw = payload.data if isinstance(payload, (Buffer, MsgBuf)) else bytes(payload)
-        self._buf.append(struct.pack(">I", len(raw)))
-        self._buf.append(raw)
-        return self
+    def scatter(self, root: int, parts=None) -> "MsgBuf":
+        """Member i loads the root's ``parts[i]``: a MsgBuf, a Buffer or bytes-like, copied once."""
+        parts = parts and [p.data if isinstance(p, (Buffer, MsgBuf)) else p for p in parts]
+        return self.load(self._ctx.scatter(self.comm, root, parts))
 
     def __repr__(self) -> str:
         return (f"MsgBuf(rank={self._ctx.rank}, comm={self.comm.comm_id}, "

@@ -83,10 +83,18 @@ _zero_width = _ZeroWidth()
 _zero_width_seqs = False
 
 
-def _count_zero_width(count: int) -> int:
-    """Add ``count`` to the current call's zero-width elements and return the total."""
-    _zero_width.used += count
-    return _zero_width.used
+def _past_zero_width(count: int, first) -> bool:
+    """Charge ``count`` zero-width elements to the current call; True past its budget."""
+    used = _zero_width.used = _zero_width.used + count
+    if used > MAX_ZERO_WIDTH:  # an unregistered type has size 0 too: if one element, first(),
+        _zero_width.used = 0  # meets it, its UnknownType is the answer, as for a short array
+        try:
+            first()
+        except (PackError, _Mismatch, RecursionError) as exc:  # the last: a record holds itself
+            if type(exc) is UnknownType:
+                raise
+        _zero_width.used = used
+    return used > MAX_ZERO_WIDTH
 
 
 class Encoding(Enum):
@@ -607,7 +615,8 @@ def _array_codec(kind, encoding: Encoding, registry: TypeRegistry, member) -> tu
             raise _Mismatch(of, "byte sequence")
         if per_element is None:
             bind()
-        if not per_element and _count_zero_width(count) > MAX_ZERO_WIDTH:
+        if not per_element and _past_zero_width(
+                count, lambda: put(bytearray(), Seq._wrap(value._items[:1]))):
             raise _Mismatch(f"at most {MAX_ZERO_WIDTH} zero-width elements in a message",
                             f"{_zero_width.used} elements")
         if length is not None:
@@ -625,7 +634,7 @@ def _array_codec(kind, encoding: Encoding, registry: TypeRegistry, member) -> tu
             # Reject hostile counts before allocating (a byte payload is checked exactly when read)
             if per_element and not is_bytes and count * per_element > len(data) - pos:
                 raise Truncated(count * per_element, len(data) - pos)
-        if not per_element and _count_zero_width(count) > MAX_ZERO_WIDTH:  # one cap per message
+        if not per_element and _past_zero_width(count, lambda: get(data, pos, 1)):
             raise PackError(f"{_zero_width.used} zero-width elements exceed the "
                             f"{MAX_ZERO_WIDTH} a message may hold")
         return get(data, pos, count)

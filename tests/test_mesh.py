@@ -18,6 +18,7 @@ from packrun.launcher import LaunchPlan, launch
 from packrun.mesh import _MeshBackend, connect_mesh, connected_pairs
 from packrun.msgbuf import BY_REFERENCE, MsgBuf
 from packrun.transport import (
+    ANY,
     NOT_MEMBER,
     BackendKind,
     Finalized,
@@ -436,6 +437,94 @@ def test_mesh_collectives_give_the_in_process_results(seed):
     ctxs = make_mesh_world(3)
     try:
         assert run_ranks(ctxs, lambda ctx: _collective_script(ctx, seed), timeout=30) == expected
+    finally:
+        for ctx in ctxs:
+            ctx.finalize()
+
+
+@st.composite
+def _programs(draw):
+    """A short program for 3 ranks: every rank runs every step, in order.
+
+    A ``p2p`` step is a batch of tagged sends, then each rank's receives of
+    the batch: some exact, then the rest under one wildcard form per rank
+    (``ANY`` source, ``ANY`` tag, or both). Receive counts match send counts
+    under any arrival order, so no receive can wait for ever.
+    """
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        op = draw(st.sampled_from(["p2p", "p2p", "barrier", "broadcast", "gather", "scatter"]))
+        if op != "p2p":
+            steps.append((op, draw(st.integers(0, 2))))
+            continue
+        sends = [(src, (src + 1 + hop) % 3, tag) for src, hop, tag in draw(st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 2)),
+            min_size=1, max_size=6))]
+        recvs = []
+        for dst in range(3):
+            mine = [(src, tag) for src, d, tag in sends if d == dst]
+            exact = draw(st.lists(st.booleans(), min_size=len(mine), max_size=len(mine)))
+            any_src, any_tag = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+            recvs += [(dst, src, tag) for (src, tag), e in zip(mine, exact) if e]
+            recvs += [(dst, ANY if any_src else src, ANY if any_tag else tag)
+                      for (src, tag), e in zip(mine, exact) if not e]
+        steps.append(("p2p", sends, recvs))
+    subset = sorted(draw(st.sets(st.integers(0, 2), min_size=1)))
+    steps.insert(draw(st.integers(0, len(steps))), ("comm_create", subset, draw(st.integers(0, 2))))
+    return steps
+
+
+def _run_program(ctx, program):
+    """Run ``program`` as rank ``ctx.rank``; return what it saw, in a form free of timing.
+
+    An ``ANY``-source receive's results are kept per (sender, tag), in order:
+    FIFO holds per pair, but which sender's message comes first does not.
+    """
+    world, me, seen = ctx.world, ctx.rank, []
+    for step, (op, *args) in enumerate(program):
+        body = lambda rank: f"{step}.{rank}".encode() * (rank + step % 3)  # noqa: E731
+        if op == "p2p":
+            sends, recvs = args
+            for i, (src, dst, tag) in enumerate(sends):
+                if src == me:
+                    ctx.send(world, dst, tag, body(i))
+            any_source = {}
+            for dst, src, tag in recvs:
+                if dst == me:
+                    got = ctx.recv(world, src, tag, timeout=10)
+                    if src is ANY:
+                        any_source.setdefault(got[:2], []).append(got[2])
+                    else:
+                        seen.append(got)
+            seen.append(sorted(any_source.items()))
+            ctx.barrier(world)  # no rank sends the next batch before every rank has this one
+        elif op == "barrier":
+            seen.append(ctx.barrier(world))
+        elif op == "broadcast":
+            seen.append(ctx.broadcast(world, args[0], body(9) if me == args[0] else None))
+        elif op == "gather":
+            seen.append(ctx.gather(world, args[0], body(me)))
+        elif op == "scatter":
+            parts = [body(m) for m in range(3)] if me == args[0] else None
+            seen.append(ctx.scatter(world, args[0], parts))
+        else:
+            subset, root = args
+            child = ctx.comm_create(world, subset)
+            if child is NOT_MEMBER:
+                seen.append(child)
+            else:
+                seen.append((child.comm_id, child.members, child.local_rank,
+                             ctx.gather(child, root % child.size, body(me))))
+    return seen
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(_programs())
+def test_drawn_programs_give_the_same_results_on_both_backends(program):
+    expected = run_ranks(make_world(3)[1], lambda ctx: _run_program(ctx, program))
+    ctxs = make_mesh_world(3)
+    try:
+        assert run_ranks(ctxs, lambda ctx: _run_program(ctx, program)) == expected
     finally:
         for ctx in ctxs:
             ctx.finalize()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from packrun.idl import PrimTag, TypeRegistry
-from packrun.msgbuf import BY_REFERENCE, MalformedSegmentTable, MsgBuf
+from packrun.msgbuf import BY_REFERENCE, MsgBuf
 from packrun.pack import Buffer, Encoding, Prim, Rec, Seq, Str, Truncated, pack
 from packrun.transport import (
     NOT_MEMBER,
@@ -19,7 +19,7 @@ from packrun.transport import (
     TransportError,
 )
 from packrun.wire import Envelope, encode_frame, write_frame
-from support import make_world, run_ranks
+from support import make_mesh_world, make_world, run_ranks
 
 
 def test_pack_send_get_unpack_flow():
@@ -132,56 +132,62 @@ def test_scatter_delivers_each_segment():
     _, ctxs = make_world(2)
 
     def member(ctx):
-        buf = MsgBuf(ctx)
-        if ctx.rank == 0:
-            seg0 = MsgBuf(ctx).put_i32(1)
-            seg1 = MsgBuf(ctx).put_i32(2)
-            buf.pack_segment(seg0).pack_segment(seg1)
-        buf.scatter(0)
-        return buf.take_i32()
+        parts = [MsgBuf(ctx).put_i32(1), MsgBuf(ctx).put_i32(2)] if ctx.rank == 0 else None
+        return MsgBuf(ctx).scatter(0, parts).take_i32()
 
     assert run_ranks(ctxs, member) == [1, 2]
 
 
 def test_scatter_single_member():
     _, (c0,) = make_world(1)
-    buf = MsgBuf(c0)
-    buf.pack_segment(MsgBuf(c0).put_i32(5))
-    assert buf.scatter(0).take_i32() == 5
+    assert MsgBuf(c0).scatter(0, [MsgBuf(c0).put_i32(5)]).take_i32() == 5
 
 
 def test_scatter_counts_segments_at_root():
-    _, ctxs = make_world(3)
-    buf = MsgBuf(ctxs[0])
-    buf.pack_segment(b"only one")
+    recorder = _FrameRecorder()
+    ctx = TransportContext(0, 3, recorder, Mailbox())
     with pytest.raises(SegmentCountMismatch) as err:
-        buf.scatter(0)
+        MsgBuf(ctx).scatter(0, [b"only one"])
     assert (err.value.expected, err.value.found) == (3, 1)
+    with pytest.raises(SegmentCountMismatch):
+        MsgBuf(ctx).scatter(0)
+    assert recorder.sent == b""  # nothing posted
 
 
-def test_scatter_rejects_malformed_table():
-    _, (c0,) = make_world(1)
-    buf = MsgBuf(c0)
-    buf.load(b"\x00\x00\x00\x09xx")  # claims 9 bytes, supplies 2
-    with pytest.raises(MalformedSegmentTable):
-        buf.scatter(0)
-
-
-def test_scatter_then_gather_reproduces_table_payloads():
+def test_scatter_then_gather_reproduces_the_parts():
     _, ctxs = make_world(4)
     payloads = [bytes([r]) * (r + 1) for r in range(4)]
 
     def member(ctx):
-        buf = MsgBuf(ctx)
-        if ctx.rank == 0:
-            for p in payloads:
-                buf.pack_segment(p)
-        buf.scatter(0)
+        buf = MsgBuf(ctx).scatter(0, payloads if ctx.rank == 0 else None)
         buf.gather(0)
         return buf.data
 
     results = run_ranks(ctxs, member)
     assert results[0] == b"".join(payloads)
+
+
+@pytest.mark.parametrize("backend", ["in-process", "mesh"])
+def test_scatter_gives_each_member_its_part_of_every_form(backend):
+    ctxs = make_world(4)[1] if backend == "in-process" else make_mesh_world(4)
+    blob = random.Random(3).randbytes(BY_REFERENCE + 1)
+    string = pack(Buffer(), Str("two"), "string")
+
+    def member(ctx):
+        parts = None
+        if ctx.rank == 1:
+            held = MsgBuf(ctx).put_bytes(blob)  # a piece held by reference
+            parts = [held, string, b"\x07\x00\x00\x00", bytearray(b"\x08\x00\x00\x00")]
+        buf = MsgBuf(ctx).scatter(1, parts)
+        return buf.data, [buf.take_bytes, buf.take_str, buf.take_i32, buf.take_i32][ctx.rank]()
+
+    try:
+        results = run_ranks(ctxs, member)
+    finally:
+        for ctx in ctxs:
+            ctx.finalize()
+    assert results == [(pack(Buffer(), Seq(blob), "seq<u8>").data, blob), (string.data, "two"),
+                       (b"\x07\x00\x00\x00", 7), (b"\x08\x00\x00\x00", 8)]
 
 
 def test_hetero_world_uses_portable_encoding():
@@ -322,7 +328,7 @@ def test_held_bytes_send_and_read_back_as_the_packed_bytes(puts, hetero):
     assert recorder.sent == b""
 
 
-def test_collectives_and_pack_segment_read_held_bytes():
+def test_collectives_and_scatter_parts_read_held_bytes():
     _, (ctx,) = make_world(1, hetero=True)
     blob = random.Random(5).randbytes(BY_REFERENCE + 4)
 
@@ -333,9 +339,7 @@ def test_collectives_and_pack_segment_read_held_bytes():
     assert filled().data == expected
     assert filled().bcast(0).data == expected
     assert filled().gather(0).data == expected
-    assert MsgBuf(ctx).pack_segment(filled()).scatter(0).data == expected
-    # a portable seq<u8> of 4k bytes is a one-segment scatter table
-    assert filled().scatter(0).data == blob
+    assert MsgBuf(ctx).scatter(0, [filled()]).data == expected
 
 
 def test_gather_of_a_mebibyte_on_four_members_peaks_at_seven_payloads():
@@ -351,3 +355,19 @@ def test_gather_of_a_mebibyte_on_four_members_peaks_at_seven_payloads():
     assert bufs[0].size == 4 * size
     # three members' snapshots queued at the root, and the four payloads it joins
     assert peak <= 7.05 * size, f"gather peaked at {peak / size:.2f} payloads"
+
+
+def test_scatter_of_a_mebibyte_on_four_members_peaks_at_four_payloads():
+    size = 1 << 20
+    _, ctxs = make_world(4)
+    parts = [MsgBuf(ctxs[0]).append(bytes([m]) * size) for m in range(4)]
+    tracemalloc.start()
+    try:
+        firsts = run_ranks(ctxs, lambda ctx: MsgBuf(ctx).scatter(
+            0, parts if ctx.rank == 0 else None).data[:1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert firsts == [bytes([m]) for m in range(4)]
+    # the root's one copy of each part: the members load what it posted
+    assert peak <= 4.05 * size, f"scatter peaked at {peak / size:.2f} payloads"

@@ -454,6 +454,49 @@ def test_zero_width_elements_of_fixed_arrays_count_against_the_budget(encoding):
         decode_value(b"", encoding, f"[nothing; {MAX_ZERO_WIDTH + 1}]", _NOTHING)
 
 
+# ``sh`` is never registered: r and late reach it through zero-width fields
+_SH_UNREGISTERED = TypeRegistry.from_idl(
+    "record nothing { } record r { x: sh; } record late { a: [nothing; 2]; b: sh; }")
+
+
+@pytest.mark.parametrize("encoding", [Encoding.PORTABLE, Encoding.NATIVE])
+@pytest.mark.parametrize("element", ["sh", "r", "late"])
+def test_an_unregistered_element_type_raises_unknown_type_whatever_the_count(encoding, element):
+    # An unregistered type compiles to size 0, so a long array of it reaches the
+    # zero-width budget before its first element: it must still name the type.
+    order = ">" if encoding is Encoding.PORTABLE else "="
+    registry = _SH_UNREGISTERED
+    for count in (1, MAX_ZERO_WIDTH + 1, 2**31 - 1):
+        with pytest.raises(UnknownType, match="'sh'"):
+            decode_value(struct.pack(order + "I", count), encoding, f"seq<{element}>", registry)
+    for length in (3, MAX_ZERO_WIDTH + 1):
+        with pytest.raises(UnknownType, match="'sh'"):
+            decode_value(b"", encoding, f"[{element}; {length}]", registry)
+    value = {"sh": Rec("sh", ()), "r": Rec("r", [Rec("sh", ())]),
+             "late": Rec("late", [Seq([Rec("nothing", [])] * 2), Rec("sh", ())])}[element]
+    for count in (1, MAX_ZERO_WIDTH + 1):
+        buf = Buffer(encoding)
+        with pytest.raises(UnknownType, match="'sh'"):
+            pack(buf, Seq([value] * count), f"seq<{element}>", registry)
+        assert buf.size == 0
+    empty = encode_value(Seq([]), encoding, f"seq<{element}>", registry)
+    assert decode_value(empty, encoding, f"seq<{element}>", registry) == Seq([])
+    # what is really zero-width keeps its budget, whatever the value's first element
+    with pytest.raises(SchemaMismatch, match="zero-width"):
+        encode_value(Seq([Prim(PrimTag.I32, 1)] * (MAX_ZERO_WIDTH + 1)), encoding,
+                     "seq<nothing>", registry)
+    with pytest.raises(PackError, match="zero-width"):
+        decode_value(struct.pack(order + "I", MAX_ZERO_WIDTH + 1), encoding, "seq<nothing>",
+                     registry)
+
+
+def test_a_record_that_holds_itself_keeps_the_zero_width_answer():
+    # unsound on purpose (validate() rejects it): one element alone recurses without end
+    registry = TypeRegistry.from_idl("record s { d: s; }")
+    with pytest.raises(PackError, match="zero-width"):
+        decode_value(struct.pack("=I", MAX_ZERO_WIDTH + 1), Encoding.NATIVE, "seq<s>", registry)
+
+
 def test_each_thread_counts_the_zero_width_elements_of_its_own_calls():
     # Each message holds the whole budget; threads that shared one count, or
     # a call that kept the previous call's, would refuse one of them.

@@ -442,6 +442,78 @@ def test_mailbox_matches_a_list_model():
         derandomize=True, database=None, deadline=None, max_examples=60, stateful_step_count=30))
 
 
+class _OneAtATimeReader:
+    """A backend stand-in: ``read`` files the calling thread's envelope, if it has one,
+    else blocks until ``wake``; it records every reading thread and any overlap."""
+
+    def __init__(self, mailbox, envs_by_thread=None):
+        self.mailbox, self.envs = mailbox, dict(envs_by_thread or {})
+        self.readers, self.inside, self.overlapped = [], 0, False
+        self.entered, self.woken = threading.Event(), threading.Event()
+        self._lock = threading.Lock()
+
+    def read(self, timeout):
+        with self._lock:
+            self.inside += 1
+            self.overlapped |= self.inside > 1
+            self.readers.append(threading.current_thread())
+        self.entered.set()
+        try:
+            env = self.envs.pop(threading.get_ident(), None)
+            if env is None:
+                self.woken.wait(timeout)
+            else:
+                self.mailbox.put(env)  # wakes the other takers while this read holds the role
+                time.sleep(0.01)
+        finally:
+            with self._lock:
+                self.inside -= 1
+
+    def wake(self):
+        self.woken.set()
+
+
+def test_three_takers_share_the_reader_role_one_at_a_time():
+    mailbox = Mailbox()
+    reader = mailbox.reader = _OneAtATimeReader(mailbox)
+    start, got = threading.Barrier(3), {}
+
+    def taker(tag):
+        reader.envs[threading.get_ident()] = Envelope(1, 0, 0, tag, bytes([tag]), KIND_DATA)
+        start.wait()
+        got[tag] = mailbox.take(KIND_DATA, 0, 1, tag)
+
+    threads = [threading.Thread(target=taker, args=(tag,), daemon=True) for tag in range(3)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(5)
+        assert not any(t.is_alive() for t in threads), "the reader role was not handed on"
+    finally:
+        mailbox.close()  # a stuck taker raises Finalized and ends
+    # each taker read once, for its own envelope: the role went from one to the next
+    assert sorted(map(id, reader.readers)) == sorted(map(id, threads))
+    assert not reader.overlapped
+    assert {tag: env.payload for tag, env in got.items()} == {t: bytes([t]) for t in range(3)}
+    assert not mailbox._reading and mailbox.pending() == 0
+
+
+def test_reading_lends_the_reader_role_to_a_helper_for_the_block():
+    mailbox = Mailbox()
+    reader = mailbox.reader = _OneAtATimeReader(mailbox)
+    with mailbox.reading():
+        assert reader.entered.wait(1)
+        assert mailbox._reading
+        (helper,) = reader.readers
+        assert helper is not threading.current_thread()
+        assert not reader.woken.is_set()
+    assert reader.woken.is_set()
+    helper.join(1)
+    assert not helper.is_alive()
+    assert not mailbox._reading and not reader.overlapped
+
+
 def test_round_of_distinct_tags_leaves_no_queues_behind():
     # One queue per tag appears while the round is pending; every one must
     # be gone once its message is taken, or idle mailboxes keep growing.

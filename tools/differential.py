@@ -357,7 +357,9 @@ def compare(old: str, new: str, seed: int, cases: int, out=sys.stdout) -> int:
                 case = (a or b).split(" ", 1)[0]
                 old_line, new_line = (line.rstrip() if line else "(missing)" for line in (a, b))
                 out.write(f"case {case}:\n  old: {old_line}\n  new: {new_line}\n")
-    finally:
+    finally:  # closed first: a child blocked on a full pipe would never end
+        for p in procs:
+            p.stdout.close()
         codes = [p.wait() for p in procs]
     for tree, code in zip((old, new), codes):
         if code != 0:
