@@ -19,7 +19,7 @@ Grammar::
 
     file      := { typedef }
     typedef   := record | variant
-    record    := "record" IDENT "{" { field } "}"
+    record    := "record" IDENT "{" field { field } "}"
     field     := IDENT ":" kind ";"
     variant   := "variant" IDENT "{" arm { arm } "}"
     arm       := IDENT [ "(" kind ")" ] ";"
@@ -106,10 +106,18 @@ class Arm:
 
 @dataclass(frozen=True)
 class RecordType:
-    """Descriptor for a record: fields serialize in declaration order."""
+    """Descriptor for a record: fields serialize in declaration order.
+
+    A record has at least one field, as an XDR struct does, so every value
+    of every type encodes to at least one byte.
+    """
 
     name: str
     fields: tuple[FieldDescriptor, ...]
+
+    def __post_init__(self) -> None:
+        if not self.fields:
+            raise IdlError(f"record {self.name!r} has no fields")
 
 
 @dataclass(frozen=True)
@@ -334,7 +342,8 @@ def parse_idl(source: str) -> list[TypeDescriptor]:
     """Parse IDL source into descriptors, in declaration order.
 
     Pure function: no registry is touched.  Raises :class:`IdlSyntaxError`,
-    :class:`DuplicateField` or :class:`DuplicateType`.
+    :class:`DuplicateField`, :class:`DuplicateType`, or :class:`IdlError`
+    for a record with no fields.
     """
     return _Parser(_tokenize(source)).parse_file()
 

@@ -43,7 +43,6 @@ import math
 import operator
 import struct
 import sys
-import threading
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -65,36 +64,6 @@ from .idl import (
 )
 
 MAX_LENGTH = 2**31 - 1  # elements in a seq / bytes in a string
-# Most elements that encode to no bytes (records with no fields) the seqs and
-# arrays of one pack or unpack may hold together: nothing else stops four
-# hostile bytes asking decode for MAX_LENGTH of them, or a few nested counts
-# (or one count of [T; n] elements) for millions.
-MAX_ZERO_WIDTH = 2**16
-
-
-class _ZeroWidth(threading.local):
-    used = 0  # zero-width array elements in this thread's current pack or unpack
-
-
-_zero_width = _ZeroWidth()
-# Set before any count is made, when the first seq<T> or [T; n] of a zero-width
-# T binds. Until then every count is 0, so pack and unpack skip the reset, which
-# costs the calls of a program that has no such array nothing.
-_zero_width_seqs = False
-
-
-def _past_zero_width(count: int, first) -> bool:
-    """Charge ``count`` zero-width elements to the current call; True past its budget."""
-    used = _zero_width.used = _zero_width.used + count
-    if used > MAX_ZERO_WIDTH:  # an unregistered type has size 0 too: if one element, first(),
-        _zero_width.used = 0  # meets it, its UnknownType is the answer, as for a short array
-        try:
-            first()
-        except (PackError, _Mismatch, RecursionError) as exc:  # the last: a record holds itself
-            if type(exc) is UnknownType:
-                raise
-        _zero_width.used = used
-    return used > MAX_ZERO_WIDTH
 
 
 class Encoding(Enum):
@@ -598,12 +567,9 @@ def _array_codec(kind, encoding: Encoding, registry: TypeRegistry, member) -> tu
 
     def bind():
         nonlocal put, get, per_element
-        global _zero_width_seqs
         codec = member(element) if fixed else _codec(element, encoding, registry)
-        bound = _elements(element, encoding, fixed, codec)
-        _zero_width_seqs = _zero_width_seqs or not bound[2]  # before any count
         # assigned in order: a thread that finds per_element set finds put and get set
-        put, get, per_element = bound
+        put, get, per_element = _elements(element, encoding, fixed, codec)
 
     def enc(out, value):
         if not isinstance(value, Seq):
@@ -615,10 +581,6 @@ def _array_codec(kind, encoding: Encoding, registry: TypeRegistry, member) -> tu
             raise _Mismatch(of, "byte sequence")
         if per_element is None:
             bind()
-        if not per_element and _past_zero_width(
-                count, lambda: put(bytearray(), Seq._wrap(value._items[:1]))):
-            raise _Mismatch(f"at most {MAX_ZERO_WIDTH} zero-width elements in a message",
-                            f"{_zero_width.used} elements")
         if length is not None:
             out += length.pack(count)
         put(out, value)
@@ -631,12 +593,10 @@ def _array_codec(kind, encoding: Encoding, registry: TypeRegistry, member) -> tu
             count, pos = _read(length, data, pos), pos + 4
             if count > MAX_LENGTH:
                 raise PackError(f"sequence count {count} exceeds the {MAX_LENGTH} element maximum")
-            # Reject hostile counts before allocating (a byte payload is checked exactly when read)
-            if per_element and not is_bytes and count * per_element > len(data) - pos:
+            # Reject hostile counts before allocating (a byte payload is checked exactly when read):
+            # a record has a field, so only a type that raises on its first element has size 0
+            if not is_bytes and count * per_element > len(data) - pos:
                 raise Truncated(count * per_element, len(data) - pos)
-        if not per_element and _past_zero_width(count, lambda: get(data, pos, 1)):
-            raise PackError(f"{_zero_width.used} zero-width elements exceed the "
-                            f"{MAX_ZERO_WIDTH} a message may hold")
         return get(data, pos, count)
 
     if fixed:
@@ -802,8 +762,6 @@ def pack(buf: Buffer, value: DynValue, kind=None,
     """
     out = buf._writable()
     start = len(out)
-    if _zero_width_seqs:
-        _zero_width.used = 0
     try:
         _codec(kind if kind is not None else infer_kind(value), buf.encoding, registry)[0](out, value)
     except BaseException as exc:
@@ -825,8 +783,6 @@ def unpack(buf: Buffer, kind, registry: Optional[TypeRegistry] = None) -> DynVal
     unpack leaves the cursor where it was.
     """
     dec = _codec(kind, buf.encoding, registry)[1]
-    if _zero_width_seqs:
-        _zero_width.used = 0
     with memoryview(buf._data) as data:
         try:
             value, buf._cursor = dec(data, buf._cursor)

@@ -191,7 +191,7 @@ def make_random_registry(rng: random.Random, n_types: int = 4) -> TypeRegistry:
     for i in range(n_types):
         name = f"t{i}"
         if rng.random() < 0.6:
-            n_fields = rng.randint(0 if rng.random() < 0.1 else 1, 4)
+            n_fields = rng.randint(1, 4)
             fields = tuple(FieldDescriptor(f"f{j}", random_kind(rng, names, 1))
                            for j in range(n_fields))
             registry.register(RecordType(name, fields))

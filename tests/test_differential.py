@@ -60,7 +60,7 @@ def test_a_reader_that_stops_early_ends_the_run_and_its_children(tmp_path):
     copy = _changed_copy(tmp_path)
     seed = 7919  # marks this run's case generators
     proc = subprocess.Popen([sys.executable, str(TOOL), str(SRC), str(copy), "--cases", "20000",
-                             "--seed", str(seed)], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+                             "--seed", str(seed)], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
         assert proc.stdout.readline().startswith(b"case ")
         proc.stdout.close()  # as `| head -1` does
@@ -72,6 +72,9 @@ def test_a_reader_that_stops_early_ends_the_run_and_its_children(tmp_path):
     while _emitters(seed) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert _emitters(seed) == []
+    with proc.stderr:
+        errors = proc.stderr.read().decode()
+    assert "Traceback" not in errors, errors  # the reader leaving ends the output quietly
 
 
 def test_a_changed_truncated_message_is_reported(tmp_path):

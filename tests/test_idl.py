@@ -6,12 +6,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from packrun.cli import idlc_main
 from packrun.idl import (
     Arm,
     DuplicateField,
     DuplicateType,
     FieldDescriptor,
     FixedArray,
+    IdlError,
     IdlSyntaxError,
     IllegalRecursion,
     MAX_KIND_NESTING,
@@ -74,9 +76,20 @@ def test_variant_needs_at_least_one_arm():
         parse_idl("variant empty { }")
 
 
-def test_empty_record_is_legal():
-    (desc,) = parse_idl("record nothing { }")
-    assert desc.fields == ()
+def test_a_record_with_no_fields_is_rejected_on_every_path(tmp_path, capsys):
+    # as in XDR: with a field, every value of every type encodes to at least one byte
+    source = "record ok { x: u8; }\nrecord nothing { }\n"
+    for build in (parse_idl, TypeRegistry.from_idl):
+        with pytest.raises(IdlError, match="record 'nothing' has no fields"):
+            build(source)
+    with pytest.raises(IdlError, match="record 'x' has no fields"):
+        RecordType("x", ())
+    idl = tmp_path / "empty.idl"
+    idl.write_text(source)
+    assert idlc_main([str(idl)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'nothing'" in captured.err
 
 
 def test_fixed_array_kind():
@@ -311,7 +324,7 @@ def _maybe_rewire(rng, registry):
     """Point one random field at a random type, possibly forming a cycle."""
     descriptors = list(registry)
     names = [d.name for d in descriptors]
-    records = [d for d in descriptors if isinstance(d, RecordType) and d.fields]
+    records = [d for d in descriptors if isinstance(d, RecordType)]
     if not records:
         return registry
     target = rng.choice(records)

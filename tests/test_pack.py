@@ -14,7 +14,6 @@ from hypothesis import Phase, given, settings, strategies as st
 from packrun.idl import (
     FieldDescriptor, FixedArray, Named, Primitive, PrimTag, RecordType, Sequence, TypeRegistry)
 from packrun.pack import (
-    MAX_ZERO_WIDTH,
     Buffer,
     Encoding,
     MalformedBool,
@@ -362,168 +361,93 @@ def test_malformed_string_payload():
         decode_value(payload, Encoding.PORTABLE, "string")
 
 
-def test_sequence_of_empty_records_decodes():
-    registry = TypeRegistry.from_idl("record nothing { }")
-    encoded = encode_value(Seq([Rec("nothing", []), Rec("nothing", [])]),
-                           Encoding.PORTABLE, "seq<nothing>", registry)
-    assert encoded == struct.pack(">I", 2)
-    decoded = decode_value(encoded, Encoding.PORTABLE, "seq<nothing>", registry)
-    assert decoded == Seq([Rec("nothing", []), Rec("nothing", [])])
-
-
-_NOTHING = TypeRegistry.from_idl("record nothing { }")
+# Every registered type encodes to at least one byte, so the count check bounds a decode
+_UNIT = TypeRegistry.from_idl("""
+    record unit { on: bool; }
+    variant opt { none; some(unit); pair([unit; 2]); many(seq<unit>); }
+    record node { v: u8; kids: seq<node>; pick: opt; }
+""")
 
 
 @pytest.mark.parametrize("encoding", [Encoding.PORTABLE, Encoding.NATIVE])
-def test_hostile_count_of_zero_width_elements_rejected_quickly(encoding):
-    # Elements that encode to no bytes escape the count-versus-remaining
-    # guard, so four bytes could otherwise ask for billions of records.  The
-    # smallest hostile count goes first: without the bound it fails in a
-    # fraction of a second and the test never builds 2**31 - 1 records.
+@pytest.mark.parametrize("kind", ["seq<unit>", "seq<seq<unit>>"])
+def test_a_hostile_count_of_records_is_truncated_at_once(kind, encoding):
     order = ">" if encoding is Encoding.PORTABLE else "="
-    for count in (MAX_ZERO_WIDTH + 1, 2**31 - 1):
-        started = time.monotonic()
-        with pytest.raises(PackError, match="zero-width"):
-            decode_value(struct.pack(order + "I", count), encoding, "seq<nothing>", _NOTHING)
-        assert time.monotonic() - started < 0.1
+    started = time.monotonic()
+    with pytest.raises(Truncated) as err:
+        decode_value(struct.pack(order + "I", 2**31 - 1), encoding, kind, _UNIT)
+    assert time.monotonic() - started < 0.1
+    assert err.value.needed >= 2**31 - 1  # the count's check, not the first element's read
 
 
-@pytest.mark.parametrize("encoding", [Encoding.PORTABLE, Encoding.NATIVE])
-def test_zero_width_sequence_at_the_bound_round_trips_and_one_more_is_rejected(encoding):
-    at_bound = Seq([Rec("nothing", [])] * MAX_ZERO_WIDTH)
-    encoded = encode_value(at_bound, encoding, "seq<nothing>", _NOTHING)
-    assert decode_value(encoded, encoding, "seq<nothing>", _NOTHING) == at_bound
-    buf = Buffer(encoding)
-    pack(buf, Prim(PrimTag.I32, 1))
-    snapshot = buf.data
-    with pytest.raises(SchemaMismatch) as err:
-        pack(buf, Seq([Rec("nothing", [])] * (MAX_ZERO_WIDTH + 1)), "seq<nothing>", _NOTHING)
-    assert err.value.path == "$"
-    assert buf.data == snapshot
+def _leaves(value) -> int:
+    """Nodes of ``value`` that hold no other node: each encodes to at least one byte."""
+    if isinstance(value, Seq):
+        if value.raw is not None or value.array is not None:
+            return len(value) or 1
+        return sum(map(_leaves, value.elements())) or 1
+    if isinstance(value, Rec):
+        return sum(map(_leaves, value.fields)) or 1
+    if isinstance(value, Var) and value.payload is not None:
+        return _leaves(value.payload)
+    return 1
 
 
-@pytest.mark.parametrize("encoding", [Encoding.PORTABLE, Encoding.NATIVE])
-def test_zero_width_elements_are_bounded_per_message_not_per_sequence(encoding):
-    # Four inner counts of MAX_ZERO_WIDTH: each sequence is at the bound, the
-    # message holds four times it.  Twenty bytes must not decode to 262,144
-    # records: the refusal costs at most about one sequence at the bound (0.1 s,
-    # or twice what this thread takes for one on a slower host), and what pack
-    # refuses unpack refuses.
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.sampled_from([Encoding.PORTABLE, Encoding.NATIVE]),
+       st.sampled_from(["u8", "bool", "i64", "string", "unit", "opt", "node", "ghost"]),
+       st.lists(st.integers(0, 3), min_size=1, max_size=4),
+       st.integers(2**16, 2**32 - 1),
+       st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1)), max_size=8),
+       st.binary(max_size=16))
+def test_property_a_decode_holds_no_more_leaves_than_its_input_has_bytes(
+        encoding, element, containers, count, words, tail):
+    kind = element
+    for n in containers:  # 0 wraps the kind in seq<...>, n in [...; n]
+        kind = f"seq<{kind}>" if n == 0 else f"[{kind}; {n}]"
     order = ">" if encoding is Encoding.PORTABLE else "="
-    one = struct.pack(order + "I", MAX_ZERO_WIDTH)
-    started = time.thread_time()
-    decode_value(one, encoding, "seq<nothing>", _NOTHING)
-    one_at_the_bound = time.thread_time() - started
-    payload = struct.pack(order + "5I", 4, *[MAX_ZERO_WIDTH] * 4)
-    started = time.thread_time()
-    with pytest.raises(PackError, match="zero-width"):
-        decode_value(payload, encoding, "seq<seq<nothing>>", _NOTHING)
-    assert time.thread_time() - started < max(0.1, 2 * one_at_the_bound)
-    nested = Seq([Seq([Rec("nothing", [])] * MAX_ZERO_WIDTH)] * 4)
-    with pytest.raises(SchemaMismatch, match="zero-width") as err:
-        encode_value(nested, encoding, "seq<seq<nothing>>", _NOTHING)
-    assert err.value.path == "$[1]"
-    half = Seq([Seq([Rec("nothing", [])] * (MAX_ZERO_WIDTH // 2))] * 2)
-    encoded = encode_value(half, encoding, "seq<seq<nothing>>", _NOTHING)
-    assert decode_value(encoded, encoding, "seq<seq<nothing>>", _NOTHING) == half
-    buf = Buffer(encoding, encoded + encoded)
-    assert unpack(buf, "seq<seq<nothing>>", _NOTHING) == half  # each call has its own budget
-    assert unpack(buf, "seq<seq<nothing>>", _NOTHING) == half
+    payload = struct.pack(f"{order}{1 + len(words)}I", count, *words) + tail
+    try:
+        value = decode_value(payload, encoding, kind, _UNIT)
+    except PackError:
+        return
+    assert _leaves(value) <= len(payload)
 
 
-@pytest.mark.parametrize("encoding", [Encoding.PORTABLE, Encoding.NATIVE])
-def test_zero_width_elements_of_fixed_arrays_count_against_the_budget(encoding):
-    # A seq<[nothing; 16]> element spends 1 + 16 of the budget, so four bytes
-    # holding a count of MAX_ZERO_WIDTH must not decode to 16 times it in records.
-    order = ">" if encoding is Encoding.PORTABLE else "="
-    kind = "seq<[nothing; 16]>"
-    started = time.thread_time()
-    with pytest.raises(PackError, match="zero-width"):
-        decode_value(struct.pack(order + "I", MAX_ZERO_WIDTH), encoding, kind, _NOTHING)
-    assert time.thread_time() - started < 0.1
-    fits = MAX_ZERO_WIDTH // 17
-    under = Seq([Seq([Rec("nothing", [])] * 16)] * fits)
-    encoded = encode_value(under, encoding, kind, _NOTHING)
-    assert decode_value(encoded, encoding, kind, _NOTHING) == under
-    over = Seq([Seq([Rec("nothing", [])] * 16)] * (fits + 1))
-    with pytest.raises(SchemaMismatch, match="zero-width"):
-        encode_value(over, encoding, kind, _NOTHING)
-    with pytest.raises(PackError, match="zero-width"):
-        decode_value(struct.pack(order + "I", fits + 1), encoding, kind, _NOTHING)
-    with pytest.raises(PackError, match="zero-width"):
-        decode_value(b"", encoding, f"[nothing; {MAX_ZERO_WIDTH + 1}]", _NOTHING)
-
-
-# ``sh`` is never registered: r and late reach it through zero-width fields
-_SH_UNREGISTERED = TypeRegistry.from_idl(
-    "record nothing { } record r { x: sh; } record late { a: [nothing; 2]; b: sh; }")
+# ``sh`` is never registered: r and late reach it through fields of size 0
+_SH_UNREGISTERED = TypeRegistry.from_idl("record r { x: sh; } record late { a: [r; 2]; b: sh; }")
 
 
 @pytest.mark.parametrize("encoding", [Encoding.PORTABLE, Encoding.NATIVE])
 @pytest.mark.parametrize("element", ["sh", "r", "late"])
 def test_an_unregistered_element_type_raises_unknown_type_whatever_the_count(encoding, element):
-    # An unregistered type compiles to size 0, so a long array of it reaches the
-    # zero-width budget before its first element: it must still name the type.
+    # An unregistered type compiles to size 0, so no count is too long for the
+    # bytes left: its first element must name the type, before any allocation.
     order = ">" if encoding is Encoding.PORTABLE else "="
     registry = _SH_UNREGISTERED
-    for count in (1, MAX_ZERO_WIDTH + 1, 2**31 - 1):
+    for count in (1, 65537, 2**31 - 1):
         with pytest.raises(UnknownType, match="'sh'"):
             decode_value(struct.pack(order + "I", count), encoding, f"seq<{element}>", registry)
-    for length in (3, MAX_ZERO_WIDTH + 1):
+    for length in (3, 65537):
         with pytest.raises(UnknownType, match="'sh'"):
             decode_value(b"", encoding, f"[{element}; {length}]", registry)
     value = {"sh": Rec("sh", ()), "r": Rec("r", [Rec("sh", ())]),
-             "late": Rec("late", [Seq([Rec("nothing", [])] * 2), Rec("sh", ())])}[element]
-    for count in (1, MAX_ZERO_WIDTH + 1):
+             "late": Rec("late", [Seq([Rec("r", [Rec("sh", ())])] * 2), Rec("sh", ())])}[element]
+    for count in (1, 65537):
         buf = Buffer(encoding)
         with pytest.raises(UnknownType, match="'sh'"):
             pack(buf, Seq([value] * count), f"seq<{element}>", registry)
         assert buf.size == 0
     empty = encode_value(Seq([]), encoding, f"seq<{element}>", registry)
     assert decode_value(empty, encoding, f"seq<{element}>", registry) == Seq([])
-    # what is really zero-width keeps its budget, whatever the value's first element
-    with pytest.raises(SchemaMismatch, match="zero-width"):
-        encode_value(Seq([Prim(PrimTag.I32, 1)] * (MAX_ZERO_WIDTH + 1)), encoding,
-                     "seq<nothing>", registry)
-    with pytest.raises(PackError, match="zero-width"):
-        decode_value(struct.pack(order + "I", MAX_ZERO_WIDTH + 1), encoding, "seq<nothing>",
-                     registry)
 
 
-def test_a_record_that_holds_itself_keeps_the_zero_width_answer():
-    # unsound on purpose (validate() rejects it): one element alone recurses without end
+def test_a_record_that_holds_itself_is_nested_too_deeply_to_decode():
+    # unsound on purpose (validate() rejects it): it compiles to size 0 too, and
+    # one element alone recurses without end
     registry = TypeRegistry.from_idl("record s { d: s; }")
-    with pytest.raises(PackError, match="zero-width"):
-        decode_value(struct.pack("=I", MAX_ZERO_WIDTH + 1), Encoding.NATIVE, "seq<s>", registry)
-
-
-def test_each_thread_counts_the_zero_width_elements_of_its_own_calls():
-    # Each message holds the whole budget; threads that shared one count, or
-    # a call that kept the previous call's, would refuse one of them.
-    half = Seq([Seq([Rec("nothing", [])] * (MAX_ZERO_WIDTH // 2))] * 2)
-    encoded = encode_value(half, Encoding.NATIVE, "seq<seq<nothing>>", _NOTHING)
-    errors = []
-
-    def decode_repeatedly():
-        try:
-            for _ in range(4):
-                decode_value(encoded, Encoding.NATIVE, "seq<seq<nothing>>", _NOTHING)
-                encode_value(half, Encoding.NATIVE, "seq<seq<nothing>>", _NOTHING)
-        except PackError as exc:
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=decode_repeatedly) for _ in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
+    with pytest.raises(PackError, match="nested too deeply"):
+        decode_value(struct.pack("=I", 65537), Encoding.NATIVE, "seq<s>", registry)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ _SIZED = """
 _SHAPES = """
     record sample { label: string; weight: f64; trace: seq<i32>; }
     variant sh { dot; many(seq<sh>); }
-    record unit { }
+    record unit { on: bool; }
     record box { u: unit; pair: [unit; 2]; flags: [bool; 3]; units: seq<unit>; }
     record tree { v: f32; kids: seq<tree>; leaf: sh; grid: [[u8; 2]; 2]; }
 """
@@ -217,7 +217,7 @@ def _emit(seed: int, cases: int) -> None:
             text = repr(pr.unpack(buf, kind, registry))
         except Exception as exc:
             return f"{failure(exc)} at={buf.read_cursor}"
-        if len(text) > 400:  # thousands of zero-width elements, say
+        if len(text) > 400:  # a large value: its hash keeps the line short
             text = f"{text[:200]}...sha1:{hashlib.sha1(text.encode()).hexdigest()}"
         return f"{text} at={buf.read_cursor}"
 
@@ -377,16 +377,22 @@ def main(argv=None) -> int:
     parser.add_argument("--cases", type=int, default=2000, help="value cases per encoding")
     parser.add_argument("--emit", metavar="TREE", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.emit:
-        import packrun
-        tree = os.path.realpath(args.emit) + os.sep
-        if not os.path.realpath(packrun.__file__).startswith(tree):
-            raise SystemExit(f"packrun was imported from {packrun.__file__}, not from {tree}")
-        _emit(args.seed, args.cases)
-        return 0
-    if args.new is None:
-        parser.error("give two source trees")
-    return 1 if compare(args.old, args.new, args.seed, args.cases) else 0
+    try:
+        if args.emit:
+            import packrun
+            tree = os.path.realpath(args.emit) + os.sep
+            if not os.path.realpath(packrun.__file__).startswith(tree):
+                raise SystemExit(f"packrun was imported from {packrun.__file__}, not from {tree}")
+            _emit(args.seed, args.cases)
+            return 0
+        if args.new is None:
+            parser.error("give two source trees")
+        return 1 if compare(args.old, args.new, args.seed, args.cases) else 0
+    except BrokenPipeError:  # the reader stopped early, as `| head` does: the output ends here
+        devnull = os.open(os.devnull, os.O_WRONLY)  # and the flush at exit writes nowhere
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":
