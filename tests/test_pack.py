@@ -380,6 +380,54 @@ def test_a_hostile_count_of_records_is_truncated_at_once(kind, encoding):
     assert err.value.needed >= 2**31 - 1  # the count's check, not the first element's read
 
 
+@pytest.mark.parametrize("encoding", [Encoding.PORTABLE, Encoding.NATIVE])
+def test_a_sequence_of_records_longer_than_65536_round_trips(encoding):
+    # no per-message element budget: only the bytes on the wire bound a count
+    many = Seq([Rec("unit", [Prim(PrimTag.BOOL, True)])] * 65537)
+    encoded = encode_value(many, encoding, "seq<unit>", _UNIT)
+    assert decode_value(encoded, encoding, "seq<unit>", _UNIT) == many
+    buf = Buffer(encoding)
+    pack(buf, Prim(PrimTag.I32, 1))
+    snapshot = buf.data
+    with pytest.raises(SchemaMismatch) as err:
+        pack(buf, Seq(list(many.elements()) + [Prim(PrimTag.I32, 1)]), "seq<unit>", _UNIT)
+    assert err.value.path == "$[65537]"
+    assert buf.data == snapshot
+
+
+@pytest.mark.parametrize("encoding", [Encoding.PORTABLE, Encoding.NATIVE])
+def test_each_inner_count_is_checked_against_the_bytes_left(encoding):
+    # four inner counts of 65536 in twenty bytes: the first inner count is refused
+    order = ">" if encoding is Encoding.PORTABLE else "="
+    payload = struct.pack(order + "5I", 4, *[65536] * 4)
+    started = time.monotonic()
+    with pytest.raises(Truncated) as err:
+        decode_value(payload, encoding, "seq<seq<unit>>", _UNIT)
+    assert time.monotonic() - started < 0.1
+    assert err.value.available == len(payload) - 8
+    fits = Seq([Seq([Rec("unit", [Prim(PrimTag.BOOL, False)])] * 3)] * 4)
+    encoded = encode_value(fits, encoding, "seq<seq<unit>>", _UNIT)
+    buf = Buffer(encoding, encoded + encoded)
+    assert unpack(buf, "seq<seq<unit>>", _UNIT) == fits
+    assert unpack(buf, "seq<seq<unit>>", _UNIT) == fits
+
+
+@pytest.mark.parametrize("encoding", [Encoding.PORTABLE, Encoding.NATIVE])
+def test_a_fixed_array_element_needs_its_length_times_the_bytes_of_one(encoding):
+    order = ">" if encoding is Encoding.PORTABLE else "="
+    kind = "seq<[unit; 16]>"
+    one = len(encode_value(Rec("unit", [Prim(PrimTag.BOOL, True)]), encoding, "unit", _UNIT))
+    with pytest.raises(Truncated) as err:
+        decode_value(struct.pack(order + "I", 65536), encoding, kind, _UNIT)
+    assert (err.value.needed, err.value.available) == (65536 * 16 * one, 0)
+    with pytest.raises(Truncated):
+        decode_value(b"\x00" * (16 * one - 1), encoding, "[unit; 16]", _UNIT)
+    value = Seq([Seq([Rec("unit", [Prim(PrimTag.BOOL, True)])] * 16)] * 2)
+    encoded = encode_value(value, encoding, kind, _UNIT)
+    assert len(encoded) == 4 + 2 * 16 * one
+    assert decode_value(encoded, encoding, kind, _UNIT) == value
+
+
 def _leaves(value) -> int:
     """Nodes of ``value`` that hold no other node: each encodes to at least one byte."""
     if isinstance(value, Seq):
