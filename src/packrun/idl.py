@@ -65,7 +65,8 @@ MAX_KIND_NESTING = 64
 
 
 # ---------------------------------------------------------------------------
-# Field kinds and descriptors
+# Field kinds and descriptors.  A fixed array's length, a record's fields (as in
+# an XDR struct) and a variant's arms each number at least 1: every value takes a byte
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,10 @@ class Sequence:
 class FixedArray:
     element: "FieldKind"
     length: int
+
+    def __post_init__(self) -> None:
+        if self.length < 1:
+            raise IdlError(f"a fixed array has a length of at least 1, not {self.length}")
 
 
 @dataclass(frozen=True)
@@ -106,11 +111,7 @@ class Arm:
 
 @dataclass(frozen=True)
 class RecordType:
-    """Descriptor for a record: fields serialize in declaration order.
-
-    A record has at least one field, as an XDR struct does, so every value
-    of every type encodes to at least one byte.
-    """
+    """Descriptor for a record: fields serialize in declaration order."""
 
     name: str
     fields: tuple[FieldDescriptor, ...]
@@ -127,6 +128,10 @@ class VariantType:
 
     name: str
     arms: tuple[Arm, ...]
+
+    def __post_init__(self) -> None:
+        if not self.arms:
+            raise IdlError(f"variant {self.name!r} has no arms")
 
     def arm_index(self, arm_name: str) -> int:
         for i, arm in enumerate(self.arms):
@@ -264,26 +269,27 @@ class _Parser:
             descriptors.append(desc)
         return descriptors
 
-    def _parse_members(self, member, expect_first: str, expect_later: str) -> tuple[str, list]:
-        """Parse ``IDENT "{" { IDENT member ";" }`` after the keyword, up to the ``}``."""
-        self._advance()  # "record" or "variant"
+    def _parse_members(self, member, what: str) -> tuple[str, list]:
+        """Parse ``IDENT "{" IDENT member ";" { IDENT member ";" } "}"`` after the keyword."""
+        keyword = self._advance().text  # "record" or "variant"
         name = self._expect_ident("a type name").text
         self._expect_punct("{")
         members: list = []
         names: set[str] = set()
-        while self._peek().text != "}":
-            member_name = self._expect_ident(expect_later if members else expect_first).text
+        while True:
+            member_name = self._expect_ident(f"{what} or '}}'" if members
+                                             else f"{what} in {keyword} {name!r}").text
             if member_name in names:
                 raise DuplicateField(name, member_name)
             names.add(member_name)
             members.append(member(member_name))
             self._expect_punct(";")
-        return name, members
+            if self._peek().text == "}":
+                self._advance()
+                return name, members
 
     def _parse_record(self) -> RecordType:
-        name, fields = self._parse_members(self._parse_field, "a field name or '}'",
-                                           "a field name or '}'")
-        self._advance()  # "}"
+        name, fields = self._parse_members(self._parse_field, "a field name")
         return RecordType(name, tuple(fields))
 
     def _parse_field(self, name: str) -> FieldDescriptor:
@@ -291,10 +297,7 @@ class _Parser:
         return FieldDescriptor(name, self._parse_kind(0))
 
     def _parse_variant(self) -> VariantType:
-        name, arms = self._parse_members(self._parse_arm, "an arm name", "an arm name or '}'")
-        if not arms:
-            raise self._error("at least one arm")
-        self._advance()  # "}"
+        name, arms = self._parse_members(self._parse_arm, "an arm name")
         return VariantType(name, tuple(arms))
 
     def _parse_arm(self, name: str) -> Arm:
@@ -324,14 +327,11 @@ class _Parser:
             element = self._parse_kind(depth + 1)
             self._expect_punct(";")
             length_tok = self._peek()
-            if length_tok.kind != "int":
-                raise self._error("an array length")
+            if length_tok.kind != "int" or int(length_tok.text) < 1:
+                raise self._error("an array length of at least 1")
             self._advance()
-            length = int(length_tok.text)
-            if length < 1:
-                raise IdlSyntaxError(length_tok.line, length_tok.column, "an array length of at least 1")
             self._expect_punct("]")
-            return FixedArray(element, length)
+            return FixedArray(element, int(length_tok.text))
         if tok.kind == "ident" and tok.text not in _KEYWORDS:
             self._advance()
             return Named(tok.text)
@@ -342,8 +342,7 @@ def parse_idl(source: str) -> list[TypeDescriptor]:
     """Parse IDL source into descriptors, in declaration order.
 
     Pure function: no registry is touched.  Raises :class:`IdlSyntaxError`,
-    :class:`DuplicateField`, :class:`DuplicateType`, or :class:`IdlError`
-    for a record with no fields.
+    :class:`DuplicateField` or :class:`DuplicateType`.
     """
     return _Parser(_tokenize(source)).parse_file()
 

@@ -594,7 +594,7 @@ def _array_codec(kind, encoding: Encoding, registry: TypeRegistry, member) -> tu
             if count > MAX_LENGTH:
                 raise PackError(f"sequence count {count} exceeds the {MAX_LENGTH} element maximum")
             # Reject hostile counts before allocating (a byte payload is checked exactly when read):
-            # a record has a field, so only a type that raises on its first element has size 0
+            # every type takes a byte; one of size 0 raises on its first element
             if not is_bytes and count * per_element > len(data) - pos:
                 raise Truncated(count * per_element, len(data) - pos)
         return get(data, pos, count)
@@ -744,7 +744,7 @@ def _variant_codec(desc: VariantType, encoding: Encoding, member) -> tuple:
         payload, pos = payload_codec[1](data, pos + 4)
         return Var(name, arm_name, payload), pos
 
-    return enc, dec, 4 + min((c[2] if c else 0 for _, c in arms), default=0)
+    return enc, dec, 4 + min(c[2] if c else 0 for _, c in arms)
 
 
 # ---------------------------------------------------------------------------

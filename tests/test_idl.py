@@ -72,16 +72,20 @@ def test_variant_arms_with_and_without_payload():
 
 
 def test_variant_needs_at_least_one_arm():
-    with pytest.raises(IdlSyntaxError):
+    with pytest.raises(IdlSyntaxError, match="an arm name in variant 'empty'") as err:
         parse_idl("variant empty { }")
+    assert (err.value.line, err.value.column) == (1, 17)
+    with pytest.raises(IdlError, match="variant 'v' has no arms"):
+        VariantType("v", ())
 
 
 def test_a_record_with_no_fields_is_rejected_on_every_path(tmp_path, capsys):
     # as in XDR: with a field, every value of every type encodes to at least one byte
     source = "record ok { x: u8; }\nrecord nothing { }\n"
     for build in (parse_idl, TypeRegistry.from_idl):
-        with pytest.raises(IdlError, match="record 'nothing' has no fields"):
+        with pytest.raises(IdlSyntaxError, match="a field name in record 'nothing'") as err:
             build(source)
+        assert (err.value.line, err.value.column) == (2, 18)
     with pytest.raises(IdlError, match="record 'x' has no fields"):
         RecordType("x", ())
     idl = tmp_path / "empty.idl"
@@ -100,6 +104,9 @@ def test_fixed_array_kind():
 def test_fixed_array_length_must_be_positive():
     with pytest.raises(IdlSyntaxError):
         parse_idl("record m { cells: [f64; 0]; }")
+    for length in (0, -1):
+        with pytest.raises(IdlError, match=f"at least 1, not {length}"):
+            FixedArray(Primitive(PrimTag.I32), length)
 
 
 def test_nested_kinds():

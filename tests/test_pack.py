@@ -12,7 +12,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from packrun.idl import (
-    FieldDescriptor, FixedArray, Named, Primitive, PrimTag, RecordType, Sequence, TypeRegistry)
+    FieldDescriptor, FixedArray, IdlError, Named, Primitive, PrimTag, RecordType, Sequence, TypeRegistry)
 from packrun.pack import (
     Buffer,
     Encoding,
@@ -378,6 +378,17 @@ def test_a_hostile_count_of_records_is_truncated_at_once(kind, encoding):
         decode_value(struct.pack(order + "I", 2**31 - 1), encoding, kind, _UNIT)
     assert time.monotonic() - started < 0.1
     assert err.value.needed >= 2**31 - 1  # the count's check, not the first element's read
+
+
+@pytest.mark.parametrize("encoding", [Encoding.PORTABLE, Encoding.NATIVE])
+def test_a_sequence_of_zero_length_arrays_cannot_be_decoded(encoding):
+    # a [T; 0] would encode to no bytes and let a count of 2**31 - 1 pass the count check,
+    # so neither IDL text nor a descriptor built in Python can name one
+    hostile = struct.pack((">" if encoding is Encoding.PORTABLE else "=") + "I", 2**31 - 1)
+    with pytest.raises(IdlError):
+        decode_value(hostile, encoding, "seq<[i32; 0]>", _UNIT)
+    with pytest.raises(IdlError):  # built in Python, such a kind never reaches decode_value
+        FixedArray(Primitive(PrimTag.I32), 0)
 
 
 @pytest.mark.parametrize("encoding", [Encoding.PORTABLE, Encoding.NATIVE])
