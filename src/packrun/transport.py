@@ -218,11 +218,14 @@ def _check_rank(comm: Communicator, rank, error=InvalidRank) -> int:
     raise error(rank)
 
 
-def _check_bodies(bodies) -> None:
-    for body in bodies:
-        if len(body) > MAX_PAYLOAD:
-            raise TransportError(
-                f"collective body of {len(body)} bytes exceeds the {MAX_PAYLOAD} maximum")
+def _body(payload):
+    """A message body as posted: bytes, bytearray and Segments as they are, else ``bytes()``."""
+    cls = type(payload)
+    if cls is not bytearray and cls is not bytes and cls is not Segments:
+        payload = bytes(payload)
+    if len(payload) > MAX_PAYLOAD:
+        raise TransportError(f"payload of {len(payload)} bytes exceeds the {MAX_PAYLOAD} maximum")
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +391,6 @@ class TransportContext:
     def _fan_in(self, comm: Communicator, root: int, opcode: int,
                 body: bytes) -> Optional[list[bytes]]:
         """Send ``body`` to ``root``; root gets every member's, in local-rank order."""
-        _check_bodies((body,))
         if comm.local_rank != root:
             self._send_control(comm, root, opcode, body)
             return None
@@ -399,7 +401,6 @@ class TransportContext:
         """Root sends ``bodies[m]`` to each other member ``m``; each returns its own."""
         if comm.local_rank != root:
             return self._recv_control(comm, root, opcode)
-        _check_bodies(bodies)  # before the first post
         for m in range(comm.size):
             if m != root:
                 self._send_control(comm, m, opcode, bodies[m])
@@ -421,22 +422,13 @@ class TransportContext:
     # -- point to point
 
     def send(self, comm: Communicator, dest: int, tag: int, payload: bytes) -> None:
-        """Send ``payload`` (anything ``bytes()`` accepts) to local rank ``dest``.
-
-        A ``bytes`` or ``bytearray`` goes to the backend as it is, and may be
-        changed again once this returns.
-        """
+        """Send ``payload`` (anything ``bytes()`` accepts) to local rank ``dest``; it is not kept."""
         self._check_open()
         dest = _check_rank(comm, dest)
         if dest == comm.local_rank:
             raise SelfSend()
         tag = _check_tag(tag)
-        cls = type(payload)
-        if cls is not bytearray and cls is not bytes and cls is not Segments:
-            payload = bytes(payload)
-        if len(payload) > MAX_PAYLOAD:
-            raise TransportError(f"payload of {len(payload)} bytes exceeds the {MAX_PAYLOAD} maximum")
-        self._backend.post(self.rank, comm.members[dest], comm.comm_id, tag, payload, KIND_DATA)
+        self._backend.post(self.rank, comm.members[dest], comm.comm_id, tag, _body(payload), KIND_DATA)
 
     def recv(self, comm: Communicator, source=ANY, tag=ANY,
              timeout: Optional[float] = None) -> tuple[int, int, bytes]:
@@ -460,20 +452,19 @@ class TransportContext:
     def broadcast(self, comm: Communicator, root: int, payload: Optional[bytes] = None) -> bytes:
         root = self._begin_collective(comm, root)
         if comm.local_rank == root:
-            payload = bytes(payload if payload is not None else b"")
+            payload = _body(payload if payload is not None else b"")
         return self._fan_out(comm, root, _OP_BCAST, [payload] * comm.size)
 
     def gather(self, comm: Communicator, root: int, payload: bytes) -> Optional[list[bytes]]:
         """Root gets every member's payload in local-rank order; its own is the object it passed."""
         root = self._begin_collective(comm, root)
-        return self._fan_in(comm, root, _OP_GATHER,
-                            payload if type(payload) is bytearray else bytes(payload))
+        return self._fan_in(comm, root, _OP_GATHER, _body(payload))
 
     def scatter(self, comm: Communicator, root: int,
                 segments: Optional[list[bytes]] = None) -> bytes:
         root = self._begin_collective(comm, root)
         if comm.local_rank == root:
-            segments = [bytes(s) for s in (segments or [])]
+            segments = [_body(s) for s in (segments or [])]
             if len(segments) != comm.size:
                 raise SegmentCountMismatch(comm.size, len(segments))
         return self._fan_out(comm, root, _OP_SCATTER, segments)
@@ -485,7 +476,7 @@ class TransportContext:
         with the identical subset.  Members of the subset get the child
         communicator, everyone else gets NOT_MEMBER.
         """
-        self._check_open()
+        self._begin_collective(parent)
         requested = [_check_rank(parent, m) for m in members]
         subset = sorted(set(requested))
         if not subset:
@@ -494,7 +485,6 @@ class TransportContext:
             raise InvalidRank(next(m for m in requested if requested.count(m) > 1))
         world_members = tuple(sorted(parent.members[m] for m in subset))
         proposal = struct.pack(f">{len(world_members)}I", *world_members)
-        self._begin_collective(parent)
         proposals = self._fan_in(parent, 0, _OP_COMM_PROPOSAL, proposal)
         result = b"\x00"  # local rank 0 decides for everyone
         if proposals is not None and all(p == proposal for p in proposals):

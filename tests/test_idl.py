@@ -137,6 +137,12 @@ def test_duplicate_type_rejected():
         parse_idl("record a { x: i32; } record a { y: f64; }")
 
 
+def test_registering_a_name_twice_raises_duplicate_type():
+    registry = TypeRegistry.from_idl("record a { x: i32; }")
+    with pytest.raises(DuplicateType):
+        registry.register(registry.entries["a"])
+
+
 def test_keywords_cannot_name_types_or_fields():
     with pytest.raises(IdlSyntaxError):
         parse_idl("record record { x: i32; }")

@@ -55,6 +55,13 @@ def test_exit_code_passes_through_per_rank(backend):
     assert codes == [0, 0, 3, 0]
 
 
+def test_a_thread_rank_exiting_with_a_message_prints_it_and_exits_1(tmp_path, capsys):
+    prog = tmp_path / "exit_message.py"
+    prog.write_text('import sys\nsys.exit("rank gave up")\n')
+    codes = launch(LaunchPlan(nprocs=1, program=str(prog), backend=THREAD, run_timeout=30.0))
+    assert (codes, capsys.readouterr().err) == ([1], "rank gave up\n")
+
+
 def test_launcher_logs_each_rank_joining(caplog):
     with caplog.at_level(logging.INFO, logger="packrun.launcher"):
         codes = launch(plan(4, "exitcode.py", "0", "0", backend=PROCESS,

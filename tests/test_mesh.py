@@ -75,6 +75,18 @@ def test_frame_rejects_bad_magic_and_version():
         decode_header(good[:4] + b"\x09" + good[5:HEADER_SIZE])
 
 
+@pytest.mark.parametrize("offset,field,message", [
+    (5, b"\x07", "unknown frame kind 7"),
+    (22, struct.pack(">I", 2**31), "declared payload of 2147483648 bytes exceeds"),
+], ids=["kind", "length"])
+def test_decode_header_refuses_an_unknown_kind_and_a_length_above_the_maximum(
+        offset, field, message):
+    header = bytearray(encode_frame(Envelope(0, 1, 0, 0, b"")))
+    header[offset:offset + len(field)] = field
+    with pytest.raises(FrameError, match=message):
+        decode_header(bytes(header))
+
+
 def _read_stream(stream: bytes):
     """read_frame on a socket whose peer wrote ``stream`` and shut down."""
     writer, reader = socket.socketpair()
@@ -168,13 +180,18 @@ def test_a_frame_written_in_place_is_the_bytes_of_encode_frame(size, seed, mutab
 
 
 class _ShortSender:
-    """A socket whose first sendmsg takes only ``first`` bytes; records what was sent."""
+    """A socket whose first sendmsg takes only ``first`` bytes, or with None would block.
+
+    Records what was sent.
+    """
 
     def __init__(self, first):
         self.first, self.sent = first, bytearray()
 
     def sendmsg(self, buffers, ancdata=(), flags=0):
         assert len(buffers) <= 1024  # IOV_MAX: sendmsg refuses more
+        if self.first is None:
+            raise BlockingIOError
         self.sent += b"".join(buffers)[:self.first]
         return self.first
 
@@ -182,7 +199,7 @@ class _ShortSender:
         self.sent += data
 
 
-@pytest.mark.parametrize("first", [0, 3, HEADER_SIZE, HEADER_SIZE + 5])
+@pytest.mark.parametrize("first", [None, 0, 3, HEADER_SIZE, HEADER_SIZE + 5])
 def test_write_frame_sends_the_rest_of_a_short_sendmsg(first):
     payload = bytearray(range(40))
     sock = _ShortSender(first)
@@ -782,6 +799,34 @@ def test_a_mesh_recv_with_a_timeout_raises_recv_timeout_or_takes_what_has_arrive
         ctxs[1].send(ctxs[1].world, 0, 5, b"waiting in the socket")
         time.sleep(0.2)
         assert ctxs[0].recv(ctxs[0].world, timeout=0)[2] == b"waiting in the socket"
+    finally:
+        for ctx in ctxs:
+            ctx.finalize()
+
+
+def test_a_frame_that_does_not_parse_drops_only_its_connection():
+    ctxs = make_mesh_world(3)
+    c0, c1, c2 = ctxs
+    try:
+        # rank 1 writes a bad magic and a header's worth of zeros, then a good frame
+        c1._backend._conns[0].sendall(b"XXXX" + bytes(HEADER_SIZE))
+        c1.send(c1.world, 0, 5, b"after the bad frame")
+        c2.send(c2.world, 0, 5, b"from rank 2")
+        assert c0.recv(c0.world, source=2, tag=5, timeout=5) == (2, 5, b"from rank 2")
+        with pytest.raises(RecvTimeout):
+            c0.recv(c0.world, source=1, timeout=0.3)
+    finally:
+        for ctx in ctxs:
+            ctx.finalize()
+
+
+def test_a_send_to_a_finalized_rank_raises_connection_lost():
+    ctxs = make_mesh_world(2)
+    try:
+        ctxs[1].finalize()
+        with pytest.raises(TransportError, match="connection to rank 1 lost: "):
+            for _ in range(8):
+                ctxs[0].send(ctxs[0].world, 1, 0, bytes(1 << 20))
     finally:
         for ctx in ctxs:
             ctx.finalize()

@@ -249,6 +249,36 @@ def test_unknown_variant_arm_rejected():
         encode_value(Var("shade", "blue"), Encoding.PORTABLE, "shade", registry)
 
 
+_SHADE = TypeRegistry.from_idl("variant shade { red; rgb(u32); }")
+
+
+def test_a_variant_value_of_another_type_is_rejected():
+    with pytest.raises(SchemaMismatch, match=r"^\$: expected variant shade, found variant hue$"):
+        encode_value(Var("hue", "red"), Encoding.PORTABLE, "shade", _SHADE)
+
+
+def test_a_payload_on_an_arm_that_takes_none_is_rejected():
+    with pytest.raises(SchemaMismatch, match=r"^\$\.red: expected no payload, found u32 value$"):
+        encode_value(Var("shade", "red", Prim(PrimTag.U32, 1)), Encoding.PORTABLE, "shade", _SHADE)
+
+
+def test_a_missing_payload_is_rejected_at_its_arm():
+    with pytest.raises(SchemaMismatch, match=r"^\$\.rgb: expected u32, found no payload$"):
+        encode_value(Var("shade", "rgb"), Encoding.PORTABLE, "shade", _SHADE)
+
+
+@pytest.mark.parametrize("encoding", list(Encoding))
+def test_a_float_that_is_not_a_number_is_rejected(encoding):
+    with pytest.raises(SchemaMismatch, match="expected f64"):
+        encode_value(Prim(PrimTag.F64, "x"), encoding)
+
+
+@pytest.mark.parametrize("encoding", list(Encoding))
+def test_an_integer_that_is_not_an_int_is_rejected(encoding):
+    with pytest.raises(SchemaMismatch, match="expected i32"):
+        encode_value(Prim(PrimTag.I32, 1.5), encoding)
+
+
 def test_unknown_type_raises():
     with pytest.raises(UnknownType):
         encode_value(Rec("ghost", []), Encoding.PORTABLE, "ghost", TypeRegistry())
@@ -278,6 +308,27 @@ def test_infer_kind_for_plain_values():
     assert encode_value(Prim(PrimTag.I32, 1), Encoding.PORTABLE) == bytes.fromhex("00000001")
     assert infer_kind(Str("x")).tag is PrimTag.STRING
     assert infer_kind(Seq(b"\x01")).element.tag is PrimTag.U8
+
+
+@pytest.mark.parametrize("value", [Rec("pt", []), Var("pt", "a")], ids=["record", "variant"])
+def test_infer_kind_of_a_record_or_variant_names_its_type(value):
+    assert infer_kind(value) == Named("pt")
+
+
+def test_infer_kind_of_what_is_not_a_value_is_a_schema_mismatch():
+    with pytest.raises(SchemaMismatch, match="expected a dynamic value, found int"):
+        infer_kind(42)
+
+
+def test_a_registry_past_its_cache_limit_starts_the_cache_over(monkeypatch):
+    # the module: the name "packrun.pack" resolves to the pack() function the package exports
+    monkeypatch.setattr(sys.modules["packrun.pack"], "_CACHE_LIMIT", 8)
+    registry = TypeRegistry()
+    encoded = [encode_value(Seq([Prim(PrimTag.I32, i) for i in range(n)]), Encoding.PORTABLE,
+                            f"[i32; {n}]", registry) for n in range(1, 21)]
+    # one codec per kind; a cache holding 9 starts over, at the 10th and the 19th kind
+    assert (encoded, len(registry._codecs)) == (
+        [struct.pack(f">{n}i", *range(n)) for n in range(1, 21)], 2)
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,25 @@ def test_shutdown_collects_receipts_and_is_idempotent():
     assert sum(counts.values()) == 5
 
 
+def test_exec_after_shutdown_is_refused():
+    def master(ctx, table):
+        with MasterPool(ctx, table) as pool:
+            pool.shutdown()
+            with pytest.raises(SlaveError, match="pool is shut down"):
+                pool.exec(pool.request("add").put_i32(1).put_i32(2))
+
+    farm(2, master)
+
+
+def test_exec_of_a_frame_shorter_than_a_selector_is_refused():
+    def master(ctx, table):
+        with MasterPool(ctx, table) as pool:
+            with pytest.raises(SlaveError, match="missing its selector"):
+                pool.exec(b"abc")
+
+    farm(2, master)
+
+
 def test_receipts_are_request_frame_digests():
     def master(ctx, table):
         frame = request_frame(table.selector("add"),

@@ -19,6 +19,7 @@ from packrun.transport import (
     Communicator,
     EmptySubset,
     Finalized,
+    InProcessWorld,
     InvalidRank,
     InvalidRoot,
     Mailbox,
@@ -894,6 +895,17 @@ def test_comm_create_empty_subset():
     _, (c0,) = make_world(1)
     with pytest.raises(EmptySubset):
         c0.comm_create(c0.world, [])
+
+
+def test_comm_create_with_a_repeated_member_raises_invalid_rank():
+    _, (c0,) = make_world(1)
+    with pytest.raises(InvalidRank):
+        c0.comm_create(c0.world, [0, 0])
+
+
+def test_a_world_of_no_ranks_is_refused():
+    with pytest.raises(TransportError, match="at least one rank"):
+        InProcessWorld(0)
 
 
 def test_comm_create_rejects_mismatched_subsets():
